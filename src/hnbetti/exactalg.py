@@ -10,6 +10,9 @@ Series equality is prefix agreement: two series compare equal when their
 coefficients agree up to the smaller of the two truncation orders.  That is the
 only meaningful comparison between truncations of the same underlying series,
 and it is deliberately not transitive; series are unhashable for that reason.
+
+Every product of two coefficient vectors (polynomial by polynomial, series by
+polynomial, series by series) goes through one kernel, _convolve.
 """
 
 from __future__ import annotations
@@ -30,6 +33,54 @@ def _trimmed(coefficients: Iterable[int]) -> tuple[int, ...]:
     return coeffs[:end]
 
 
+def _pack(coefficients: Sequence[int], width: int) -> int:
+    """The integer sum of c_i * 256^(width * i): one width-byte slot per coefficient."""
+    if min(coefficients) < 0:
+        return _pack([max(c, 0) for c in coefficients], width) - _pack(
+            [max(-c, 0) for c in coefficients], width
+        )
+    return int.from_bytes(
+        b"".join([c.to_bytes(width, "little") for c in coefficients]), "little"
+    )
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], order: int) -> tuple[int, ...]:
+    """Coefficients 0..order of the product of two coefficient vectors.
+
+    Kronecker substitution (D. Harvey, "Faster polynomial multiplication via
+    multipoint Kronecker substitution", JSC 2009): evaluate both operands at
+    t = 2^(8 w) by packing them into one integer each, multiply the two
+    integers once, and read the product's coefficients back from its w-byte
+    slots.  Coefficient k of the product is a sum of at most m = min(len a,
+    len b) terms, each below 2^(bits a + bits b) in size, so it lies strictly
+    inside +-2^(8w - 1) when 8w >= bits a + bits b + bits m + 1.  Adding
+    2^(8w - 1) to every slot then makes each one a digit in [0, 2^(8w)), with
+    no borrow between slots, and the digits of the low order + 1 slots do not
+    depend on anything above them.
+    """
+    a, b = a[: order + 1], b[: order + 1]
+    if not a or not b:
+        return (0,) * (order + 1)
+    bits = (
+        max(max(a), -min(a)).bit_length()
+        + max(max(b), -min(b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    count = min(order + 1, len(a) + len(b) - 1)
+    size = width * count
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    digits = ((_pack(a, width) * _pack(b, width) + bias) & ((1 << 8 * size) - 1)).to_bytes(
+        size, "little"
+    )
+    half = 1 << (8 * width - 1)
+    out = [
+        int.from_bytes(digits[i : i + width], "little") - half for i in range(0, size, width)
+    ]
+    return tuple(out) + (0,) * (order + 1 - count)
+
+
 @dataclass(frozen=True)
 class ExactPolynomial:
     """Univariate polynomial in t with exact integer coefficients."""
@@ -38,6 +89,13 @@ class ExactPolynomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", _trimmed(self.coefficients))
+
+    @classmethod
+    def _trusted(cls, coefficients: tuple[int, ...]) -> "ExactPolynomial":
+        """Wrap a tuple of ints with a nonzero last entry, skipping validation."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coefficients", coefficients)
+        return poly
 
     @classmethod
     def zero(cls) -> "ExactPolynomial":
@@ -111,13 +169,8 @@ class ExactPolynomial:
         a, b = self.coefficients, other.coefficients
         if not a or not b:
             return ExactPolynomial.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return ExactPolynomial(tuple(out))
+        # Leading coefficients are nonzero, so their product is: nothing to trim.
+        return ExactPolynomial._trusted(_convolve(a, b, len(a) + len(b) - 2))
 
     def __rmul__(self, other: int):
         if isinstance(other, int):
@@ -185,7 +238,7 @@ class ExactPolynomial:
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         coeffs = self.coefficients[: order + 1]
-        return TruncatedSeries(coeffs + (0,) * (order + 1 - len(coeffs)), order)
+        return TruncatedSeries._trusted(coeffs + (0,) * (order + 1 - len(coeffs)), order)
 
     def inverse_series(self, order: int) -> "TruncatedSeries":
         """Multiplicative inverse as a power series modulo t^(order+1).
@@ -207,7 +260,7 @@ class ExactPolynomial:
                 if p[k]:
                     acc += p[k] * out[n - k]
             out[n] = -unit * acc
-        return TruncatedSeries(tuple(out), order)
+        return TruncatedSeries._trusted(tuple(out), order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +279,14 @@ class TruncatedSeries:
                 f"expected {self.truncation_order + 1} coefficients, "
                 f"got {len(self.coefficients)}"
             )
+
+    @classmethod
+    def _trusted(cls, coefficients: tuple[int, ...], order: int) -> "TruncatedSeries":
+        """Wrap a tuple of exactly order + 1 ints, skipping validation."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "coefficients", coefficients)
+        object.__setattr__(series, "truncation_order", order)
+        return series
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -250,13 +311,13 @@ class TruncatedSeries:
             )
         if order == self.truncation_order:
             return self
-        return TruncatedSeries(self.coefficients[: order + 1], order)
+        return TruncatedSeries._trusted(self.coefficients[: order + 1], order)
 
     def times_t_power(self, exponent: int) -> "TruncatedSeries":
         """Multiply by t^exponent; the known order grows by the same amount."""
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             (0,) * exponent + self.coefficients, self.truncation_order + exponent
         )
 
@@ -283,7 +344,7 @@ class TruncatedSeries:
     def _binary(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         order = min(self.truncation_order, other.truncation_order)
         a, b = self.coefficients, other.coefficients
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             tuple(a[i] + sign * b[i] for i in range(order + 1)), order
         )
 
@@ -299,30 +360,19 @@ class TruncatedSeries:
 
     def __mul__(self, other: Union["TruncatedSeries", ExactPolynomial, int]):
         if isinstance(other, int):
-            return TruncatedSeries(
+            return TruncatedSeries._trusted(
                 tuple(c * other for c in self.coefficients), self.truncation_order
             )
         if isinstance(other, ExactPolynomial):
             # A polynomial is exact, so the product stays known to the same order.
             order = self.truncation_order
-            out = [0] * (order + 1)
-            for i, ca in enumerate(other.coefficients):
-                if ca == 0 or i > order:
-                    continue
-                for j in range(order - i + 1):
-                    out[i + j] += ca * self.coefficients[j]
-            return TruncatedSeries(tuple(out), order)
-        if not isinstance(other, TruncatedSeries):
+        elif isinstance(other, TruncatedSeries):
+            order = min(self.truncation_order, other.truncation_order)
+        else:
             return NotImplemented
-        order = min(self.truncation_order, other.truncation_order)
-        out = [0] * (order + 1)
-        for i in range(order + 1):
-            ca = self.coefficients[i]
-            if ca == 0:
-                continue
-            for j in range(order - i + 1):
-                out[i + j] += ca * other.coefficients[j]
-        return TruncatedSeries(tuple(out), order)
+        return TruncatedSeries._trusted(
+            _convolve(self.coefficients, other.coefficients, order), order
+        )
 
     def __rmul__(self, other: Union[ExactPolynomial, int]):
         if isinstance(other, (int, ExactPolynomial)):

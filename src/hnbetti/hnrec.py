@@ -10,11 +10,69 @@ and each stratum series is the product of the semistable series of its pieces:
     P(S_P; t) = prod_j P(Div^(r'_j, d'_j)^ss; t).
 
 Solving for the semistable part gives the recursion implemented by ss_series:
-subtract, from the closed-form series of the ind-variety, the shifted stratum
-series of every proper type whose doubled codimension fits under the truncation
-order.  Pieces have strictly smaller rank, and rank 1 has no proper strata, so
-the recursion grounds.  When gcd(r, n) = 1 semistable equals stable and the
-moduli space N(r, n) of stable bundles has Poincare polynomial
+subtract the proper-strata sum, to the truncation order, from the closed-form
+series of the ind-variety.
+
+The proper-strata sum is not built type by type.  Write a type of total rank
+R and degree D as its first piece (r1, d1) followed by a type of the rest,
+(R', D') = (R - r1, D - d1), whose pieces all have slope below d1/r1.  In the
+codimension formula of the strata module, the pairs that pair the first piece
+with a later piece (r'_i, d'_i) add up to
+
+    c1 = sum over i of (r'_i d1 - r1 d'_i) + r'_i r1 (g - 1)
+       = R' d1 - r1 D' + r1 R' (g - 1)
+       = R d1 - r1 D + r1 (R - r1)(g - 1),
+
+which sees the rest only through its totals; the remaining pairs give the
+codimension of the rest as a type of its own.  The stratum series splits the
+same way, as the first piece's semistable series times the rest's product, so
+
+    sum over proper types of (R, D) of t^(2 codim) P(S_P)
+        = sum over first pieces of t^(2 c1) P_ss(r1, d1) F(R - r1, D - d1, d1/r1),
+
+where P_ss(r, d) = P(Div^(r, d)^ss) and F(R, D, cap) is t^(2 codim) P(S_P)
+summed over every type P of (R, D) whose top slope is below cap, the
+semistable type (codimension 0) included.  A first piece has r1 < R and
+d1/r1 > D/R, because the top slope of a proper type exceeds the average
+slope.  Splitting off the first piece of the types counted by F in the same
+way gives F's own recursion,
+
+    F(R, D, cap) = P_ss(R, D) + sum over first pieces with d1/r1 < cap
+                   of t^(2 c1) P_ss(r1, d1) F(R - r1, D - d1, d1/r1).
+
+The semistable term is always there: the rest of a type has average slope
+(D - d1)/(R - r1) < D/R < d1/r1, so every F the recursion asks for has
+D/R < cap.  _strata_sum is the sum over first pieces, with cap None for the
+proper-strata sum itself; _below_cap is F.
+
+Twist shift.  Tensoring with a line bundle of degree k sends each piece (r, d)
+to (r, d + k r).  Every slope moves by k, every cross term r_i d_j - r_j d_i
+and so every codimension is unchanged, and P_ss(r, d) = P_ss(r, d + r).  So
+P_ss depends on the degree only through d mod r, and
+
+    F(R, D, cap) = F(R, D + k R, cap + k)  for every integer k.
+
+Both are memoized on the twist class: P_ss on (genus, R, D mod R) in
+MemoStore, F on (genus, R, D mod R, cap - floor(D/R)) in memory, each entry
+keeping the longest order computed so far.
+
+Termination bound (genus >= 1).  To order T only first pieces with
+2 c1 <= T contribute.  Here r1 (R - r1)(g - 1) >= 0, and R d1 - r1 D >= 1
+because d1/r1 > D/R, so c1 >= 1 and, for each r1 < R,
+
+    r1 D / R < d1 <= (T // 2 + r1 D - r1 (R - r1)(g - 1)) / R,
+
+a finite range (a cap only lowers its top).  Each term asks for P_ss and F at
+the order T - 2 c1 < T.  Give P_ss at rank R the weight 2R and F at rank R the
+weight 2R + 1: P_ss(R) asks for P_ss and F at ranks r1, R - r1 < R, and F(R)
+asks for P_ss(R) and for P_ss and F at ranks below R, so every call has a
+smaller weight than its caller.  Every call makes finitely many calls, and
+the weight cannot fall below 2, so the recursion ends.  At rank 1 there is no
+first piece at all: P_ss(1, d) is the ind-variety series and F(1, d, cap) is
+P_ss(1, d).
+
+When gcd(r, n) = 1 semistable equals stable and the moduli space N(r, n) of
+stable bundles has Poincare polynomial
 
     P(N(r, n); t) = (1 - t^2) * P(Div^ss; t),
 
@@ -35,7 +93,10 @@ recursion, which makes it an independent witness for the main path.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +104,7 @@ from typing import Optional, Union
 
 from .exactalg import ExactPolynomial, TruncatedSeries
 from .genfun import CurveContext, div_stable_series
-from .strata import HNType, enumerate_types, stratum_codim
+from .strata import HNType
 
 TRUNCATION_SLACK = 10
 
@@ -103,24 +164,34 @@ class BettiReport:
 
 
 class MemoStore:
-    """Memoized semistable series, keyed by (genus, rank, degree).
+    """Memoized semistable series, keyed by (genus, rank, degree mod rank).
 
-    One entry per key holds the longest series computed so far; shorter
-    requests are served by truncation.  Writes are serialized and idempotent:
-    re-storing a value that agrees on the common prefix is a no-op (the longer
-    one is kept), while a disagreeing value raises StructuralCheckError, since
-    two runs of an exact computation can never legitimately differ.
+    The semistable series of degree n equals that of n + rank (twist by a line
+    bundle of degree 1), so one key serves a whole twist class.  ss_series
+    reduces the degree before it calls lookup or store; the degree passed here
+    is that class, 0 <= degree < rank.  One entry per key holds the longest
+    series computed so far; shorter requests are served by truncation.  Writes
+    are serialized and idempotent: re-storing a value that agrees on the
+    common prefix is a no-op (the longer one is kept), while a disagreeing
+    value raises StructuralCheckError, since two runs of an exact computation
+    can never legitimately differ.
 
     With a cache directory set, every newly computed series is also written to
-    ``ss_g{genus}_r{rank}_n{degree}_T{order}.json`` (atomic rename), and
-    lookups fall back to any on-disk file with the same key and a truncation
-    order at least as large.  Unreadable or inconsistent files are treated as
-    misses; a note is appended to ``warnings`` for each.
+    ``ss_g{genus}_r{rank}_n{degree mod rank}_T{order}.json``, through a temp
+    file of its own in the same directory and an atomic rename, so concurrent
+    writers never share a temp file.  Lookups fall back to any on-disk file
+    with the same key and a truncation order at least as large.  Unreadable or
+    inconsistent files are treated as misses; a note is appended to
+    ``warnings`` for each.
+
+    The partial sums F of the first-piece recursion (see _below_cap) are kept
+    here too, in memory only.
     """
 
     def __init__(self, cache_dir: Union[str, Path, None] = None):
         self._lock = threading.Lock()
         self._entries: dict[tuple[int, int, int], TruncatedSeries] = {}
+        self._capped: dict[tuple[int, int, int, int, int], TruncatedSeries] = {}
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.warnings: list[str] = []
 
@@ -220,13 +291,23 @@ class MemoStore:
             kind="series", payload=series, genus=genus, rank=rank, degree=degree
         )
         name = self._file_name(genus, rank, degree, series.truncation_order)
+        # A random name per writer; O_EXCL never opens another writer's file,
+        # and mode 0o666 less the umask is what a plain open would give.
+        tmp = self.cache_dir / f".{name}.{os.urandom(8).hex()}.tmp"
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            tmp = self.cache_dir / f".{name}.tmp"
-            tmp.write_text(render_json(doc) + "\n", encoding="utf-8")
-            tmp.replace(self.cache_dir / name)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except OSError as exc:
             self.warnings.append(f"cache file {name}: write failed: {exc}")
+            return
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(render_json(doc) + "\n")
+            os.replace(tmp, self.cache_dir / name)
+        except OSError as exc:
+            self.warnings.append(f"cache file {name}: write failed: {exc}")
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
 
 def dim_moduli(genus: int, rank: int) -> int:
@@ -241,30 +322,92 @@ def dim_moduli(genus: int, rank: int) -> int:
 def ss_series(query: ModuliQuery, memo: Optional[MemoStore] = None) -> TruncatedSeries:
     """Poincare series of the semistable locus, to the query's truncation order.
 
-    Closed-form ind-variety series minus the shifted stratum series of every
-    proper type whose doubled codimension fits under the truncation order.
+    Closed-form ind-variety series minus the proper-strata sum, computed by
+    the first-piece recursion described in the module docstring.  The series
+    depends on the degree only through its twist class, degree mod rank, which
+    is what it is computed and memoized under.
     """
     if query.truncation is None:
         raise ValueError("ss_series needs an explicit truncation order")
     if memo is None:
         memo = MemoStore()
-    genus, rank, degree, order = (
-        query.genus,
-        query.rank,
-        query.degree,
-        query.truncation,
-    )
+    genus, rank, order = query.genus, query.rank, query.truncation
+    degree = query.degree % rank
     hit = memo.lookup(genus, rank, degree, order)
     if hit is not None:
         return hit
-    series = div_stable_series(CurveContext(genus), rank, order)
-    # Sorted by ascending codimension, so each piece is first needed at its
-    # largest truncation order and later lookups are memo hits.
-    for hn_type in enumerate_types(rank, degree, genus, order // 2):
-        shift = 2 * stratum_codim(hn_type, genus)
-        sub = stratum_series(genus, hn_type, order - shift, memo)
-        series = series - sub.times_t_power(shift)
+    series = div_stable_series(CurveContext(genus), rank, order) - _strata_sum(
+        genus, rank, degree, None, order, memo
+    )
     memo.store(genus, rank, degree, series)
+    return series
+
+
+def _strata_sum(
+    genus: int,
+    rank: int,
+    degree: int,
+    cap: Optional[tuple[int, int]],
+    order: int,
+    memo: MemoStore,
+) -> TruncatedSeries:
+    """Sum of t^(2 codim) P(S_P) over proper types P whose top slope is below cap.
+
+    cap is a slope (numerator, positive denominator), or None for no bound.
+    Each term is the first piece's semistable series times F of the rest.
+    """
+    budget = order // 2
+    pieces = []
+    for r1 in range(1, rank):
+        # codim_1 = rank * d1 - r1 * degree + r1 (rank - r1)(g - 1) = rank * d1 + base.
+        base = r1 * (rank - r1) * (genus - 1) - r1 * degree
+        d_hi = (budget - base) // rank
+        if cap is not None:
+            d_hi = min(d_hi, (cap[0] * r1 - 1) // cap[1])  # d1 / r1 < cap
+        for d1 in range((r1 * degree) // rank + 1, d_hi + 1):  # d1 / r1 > degree / rank
+            pieces.append((2 * (rank * d1 + base), r1, d1))
+    # Ascending shift: each key is first asked for at its largest order.
+    pieces.sort()
+    total = [0] * (order + 1)
+    for shift, r1, d1 in pieces:
+        sub_order = order - shift
+        head = ss_series(ModuliQuery(genus, r1, d1, sub_order), memo)
+        rest = _below_cap(genus, rank - r1, degree - d1, (d1, r1), sub_order, memo)
+        # The product has exactly the order + 1 - shift coefficients total[shift:] holds.
+        total[shift:] = map(operator.add, total[shift:], (head * rest).coefficients)
+    return TruncatedSeries(tuple(total), order)
+
+
+def _below_cap(
+    genus: int,
+    rank: int,
+    degree: int,
+    cap: tuple[int, int],
+    order: int,
+    memo: MemoStore,
+) -> TruncatedSeries:
+    """F(rank, degree, cap): like _strata_sum, semistable type included.
+
+    The sum of t^(2 codim) P(S_P) over every type P of (rank, degree) whose
+    top slope is below cap.  Callers guarantee degree / rank < cap.  Twisting moves degree to its class
+    mod rank and cap by the same whole number of slopes; the result, memoized
+    in memory under that key, is the same.
+    """
+    twist = degree // rank
+    num, den = cap[0] - twist * cap[1], cap[1]
+    common = math.gcd(num, den)
+    key = (genus, rank, degree - twist * rank, num // common, den // common)
+    with memo._lock:
+        hit = memo._capped.get(key)
+    if hit is not None and hit.truncation_order >= order:
+        return hit.truncate(order)
+    series = ss_series(ModuliQuery(genus, rank, key[2], order), memo) + _strata_sum(
+        genus, rank, key[2], key[3:], order, memo
+    )
+    with memo._lock:
+        kept = memo._capped.get(key)
+        if kept is None or kept.truncation_order < order:
+            memo._capped[key] = series
     return series
 
 
@@ -274,7 +417,11 @@ def stratum_series(
     order: int,
     memo: Optional[MemoStore] = None,
 ) -> TruncatedSeries:
-    """Poincare series of one stratum: the product over its pieces' semistable series."""
+    """Poincare series of one stratum: the product over its pieces' semistable series.
+
+    ss_series does not call this; summed over strata.enumerate_types, it is the
+    type-by-type reference that the first-piece recursion is tested against.
+    """
     if memo is None:
         memo = MemoStore()
     out = TruncatedSeries.one(order)

@@ -1,0 +1,96 @@
+"""Cache directory behaviour: twist-class keys and concurrent writers."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import hnbetti
+from hnbetti.cli import run
+from hnbetti.hnrec import MemoStore, ModuliQuery, ss_series
+
+PACKAGE_PARENT = str(Path(hnbetti.__file__).resolve().parent.parent)
+FILE_NAME = re.compile(r"ss_g(\d+)_r(\d+)_n(-?\d+)_T(\d+)\.json")
+
+
+def _betti(capsys, degree, cache_dir):
+    code = run(["betti", "--genus", "2", "--rank", "2", "--deg", str(degree),
+                "--strict-cache", "--cache-dir", str(cache_dir)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return out
+
+
+def _files(cache_dir):
+    # The inode changes when a file is rewritten through a rename.
+    return {p.name: p.stat().st_ino for p in cache_dir.iterdir()}
+
+
+def test_degrees_of_one_twist_class_share_cache_files(capsys, tmp_path):
+    first = _betti(capsys, 1, tmp_path)
+    files = _files(tmp_path)
+    assert files
+    for degree in (3, -1):
+        out = _betti(capsys, degree, tmp_path)
+        # Served from disk: nothing was computed, so nothing was written.
+        assert _files(tmp_path) == files
+        assert out == first  # the text format does not print the degree
+    for name in files:
+        genus, rank, degree, _ = map(int, FILE_NAME.fullmatch(name).groups())
+        assert 0 <= degree < rank, name
+
+
+def test_ssseries_prints_the_requested_degree(capsys, tmp_path):
+    code = run(["ssseries", "--genus", "2", "--rank", "2", "--deg", "3", "--truncate", "8",
+                "--format", "json", "--cache-dir", str(tmp_path)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["degree"] == 3
+    keys = {FILE_NAME.fullmatch(p.name).group(2, 3) for p in tmp_path.iterdir()}
+    assert keys == {("1", "0"), ("2", "1")}
+
+
+def test_cache_files_get_the_mode_of_a_plain_open(tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    ss_series(ModuliQuery(2, 2, 1, 8), MemoStore(tmp_path))
+    modes = {p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {0o666 & ~umask}
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    (tmp_path / "ss_g2_r2_n1_T8.json").mkdir()  # the rename onto it fails
+    memo = MemoStore(tmp_path)
+    ss_series(ModuliQuery(2, 2, 1, 8), memo)
+    assert any("ss_g2_r2_n1_T8.json: write failed" in w for w in memo.warnings)
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_concurrent_writers_on_one_cache_dir(tmp_path):
+    # Writers that shared one temp-file name made some of these runs exit 4
+    # ("write failed") or read a half-written file.
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
+    env.pop("HNBETTI_CACHE_DIR", None)
+    argv = [sys.executable, "-m", "hnbetti", "betti", "--genus", "3", "--rank", "3",
+            "--deg", "1", "--strict-cache", "--cache-dir"]
+    outputs = set()
+    for trial in range(5):
+        cache_dir = str(tmp_path / f"trial{trial}")
+        procs = [
+            subprocess.Popen(argv + [cache_dir], env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE)
+            for _ in range(6)
+        ]
+        try:
+            results = [(p.communicate(timeout=60), p.returncode) for p in procs]
+        finally:
+            for p in procs:
+                if p.poll() is None:
+                    p.kill()
+                    p.wait()
+        for (out, err), code in results:
+            assert code == 0, err.decode(errors="replace")
+            outputs.add(out)
+    assert len(outputs) == 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hnbetti.exactalg import ExactPolynomial, InexactDivisionError, TruncatedSeries
+from hnbetti.exactalg import ExactPolynomial, InexactDivisionError, TruncatedSeries, _convolve
 
 
 def _brute_convolution(a, b):
@@ -208,3 +208,79 @@ def test_series_addition_mixed_orders():
     b = TruncatedSeries((1, 0, 0, 7), 3)
     assert (a + b).coefficients == (2, 1, 1)
     assert (a - b).coefficients == (0, 1, 1)
+
+
+def _schoolbook(a, b, order):
+    # Independent reference for the kernel: coefficients 0..order of a * b.
+    out = [0] * (order + 1)
+    for i, ca in enumerate(a[: order + 1]):
+        for j, cb in enumerate(b[: order + 1 - i]):
+            out[i + j] += ca * cb
+    return tuple(out)
+
+
+def _signed(rng, length, bits):
+    return [rng.randrange(-(1 << bits) + 1, 1 << bits) for _ in range(length)]
+
+
+def test_convolve_matches_schoolbook_random():
+    rng = random.Random(9203004)
+    for _ in range(400):
+        a = _signed(rng, rng.randrange(41), rng.randint(1, 200))
+        b = _signed(rng, rng.randrange(41), rng.randint(1, 200))
+        order = rng.randrange(len(a) + len(b) + 3)
+        assert _convolve(a, b, order) == _schoolbook(a, b, order), (a, b, order)
+
+
+def test_convolve_edge_operands():
+    top = (1 << 200) - 1
+    cases = [
+        ([], [1, 2], 3),
+        ([0, 0, 0], [5, -7], 4),
+        ([0], [0], 0),
+        ([3], [-4], 0),
+        ([-1], [1, 1, 1, 1], 6),
+        ([top] * 30, [top] * 30, 58),  # every slot at its largest magnitude
+        ([top] * 30, [-top] * 30, 58),
+        ([-top, top] * 15, [top, -top] * 15, 70),
+        ([1] * 20, [1] * 30, 4),  # order shorter than either operand
+        ([-1] * 20, [2] * 30, 0),
+    ]
+    for a, b, order in cases:
+        assert _convolve(a, b, order) == _schoolbook(a, b, order), (a, b, order)
+        assert _convolve(tuple(b), tuple(a), order) == _schoolbook(a, b, order)
+
+
+def test_convolve_largest_coefficients_fill_their_slots():
+    # All-maximal operands of one sign make the middle coefficient as large as
+    # the slot-width bound allows; sweeping the widths hits every byte rounding.
+    for bits_a in range(1, 12):
+        for bits_b in range(1, 12):
+            for terms in (1, 2, 3, 4, 7, 8, 15, 16, 31):
+                a = [(1 << bits_a) - 1] * terms
+                for b in ([(1 << bits_b) - 1] * terms, [-(1 << bits_b) + 1] * terms):
+                    assert _convolve(a, b, 2 * terms - 2) == _schoolbook(a, b, 2 * terms - 2)
+
+
+def test_polynomial_products_match_schoolbook():
+    rng = random.Random(7)
+    for _ in range(200):
+        p = _random_poly(rng, max_degree=15, span=1 << rng.randint(1, 120))
+        q = _random_poly(rng, max_degree=15, span=1 << rng.randint(1, 120))
+        assert (p * q).coefficients == _brute_convolution(p.coefficients, q.coefficients)
+
+
+def test_series_products_match_schoolbook():
+    rng = random.Random(11)
+    for _ in range(200):
+        order = rng.randrange(25)
+        s = TruncatedSeries(tuple(_signed(rng, order + 1, rng.randint(1, 150))), order)
+        p = _random_poly(rng, max_degree=35, span=1 << rng.randint(1, 150))
+        expected = _schoolbook(s.coefficients, p.coefficients, order)
+        assert (s * p).coefficients == expected
+        assert (p * s).coefficients == expected
+        other_order = rng.randrange(25)
+        u = TruncatedSeries(tuple(_signed(rng, other_order + 1, 64)), other_order)
+        low = min(order, other_order)
+        assert (s * u).truncation_order == low
+        assert (s * u).coefficients == _schoolbook(s.coefficients, u.coefficients, low)

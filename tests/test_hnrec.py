@@ -9,6 +9,7 @@ from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
 from hnbetti.genfun import CurveContext, div_stable_series
 from hnbetti.hnrec import (
     MemoStore,
+    _strata_sum,
     ModuliQuery,
     StructuralCheckError,
     betti_poly,
@@ -248,3 +249,20 @@ def test_memo_rejects_mismatched_file_metadata(tmp_path):
     fresh = MemoStore(tmp_path)
     assert fresh.lookup(2, 1, 0, 6) is None
     assert any("does not match" in w for w in fresh.warnings)
+
+
+def test_strata_recursion_matches_type_enumeration():
+    # The first-piece recursion must give the sum over enumerated types.  One
+    # memo store serves all degrees, so twist-shifted keys get exercised.
+    for genus in (1, 2, 3):
+        memo = MemoStore()
+        for rank in range(1, 6):
+            for degree in (-4, -1, 0, 1, 2, 5):
+                for order in (6, 17, 40, 61):
+                    got = _strata_sum(genus, rank, degree, None, order, memo)
+                    want = TruncatedSeries((0,) * (order + 1), order)
+                    for hn_type in enumerate_types(rank, degree, genus, order // 2):
+                        shift = 2 * stratum_codim(hn_type, genus)
+                        piece = stratum_series(genus, hn_type, order - shift, memo)
+                        want = want + piece.times_t_power(shift)
+                    assert got.coefficients == want.coefficients, (genus, rank, degree, order)
