@@ -10,8 +10,6 @@ moduli space N(rank, degree).  All arithmetic is exact integer arithmetic.
 from ._version import __version__
 from .exactalg import ExactPolynomial, InexactDivisionError, TruncatedSeries
 from .genfun import (
-    CurveContext,
-    FactoredESeries,
     div_finite_poly,
     div_stable_series,
     residue_series,
@@ -37,9 +35,7 @@ __all__ = [
     "__version__",
     "BettiChecks",
     "BettiReport",
-    "CurveContext",
     "ExactPolynomial",
-    "FactoredESeries",
     "HNType",
     "InexactDivisionError",
     "MemoStore",

@@ -24,7 +24,7 @@ import sys
 from typing import Optional, Sequence
 
 from ._version import __version__
-from .genfun import CurveContext, div_finite_poly, div_stable_series, sym_product_poly
+from .genfun import div_finite_poly, div_stable_series, sym_product_poly
 from .hnrec import MemoStore, ModuliQuery, StructuralCheckError, betti_poly, ss_series
 from .render import OutputDocument, render
 from .strata import enumerate_types
@@ -140,19 +140,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _execute(args: argparse.Namespace, memo: MemoStore) -> OutputDocument:
     if args.command == "sympoly":
-        poly = sym_product_poly(CurveContext(args.genus), args.points)
+        poly = sym_product_poly(args.genus, args.points)
         return OutputDocument(
             "polynomial", poly, genus=args.genus, degree=args.points
         )
     if args.command == "divpoly":
-        poly = div_finite_poly(
-            CurveContext(args.genus), args.rank, args.deg, args.twist
-        )
+        poly = div_finite_poly(args.genus, args.rank, args.deg, args.twist)
         return OutputDocument(
             "polynomial", poly, genus=args.genus, rank=args.rank, degree=args.deg
         )
     if args.command == "divseries":
-        series = div_stable_series(CurveContext(args.genus), args.rank, args.truncate)
+        series = div_stable_series(args.genus, args.rank, args.truncate)
         return OutputDocument("series", series, genus=args.genus, rank=args.rank)
     if args.command == "polygons":
         types = enumerate_types(args.rank, args.deg, args.genus, args.max_codim)

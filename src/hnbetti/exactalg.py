@@ -292,10 +292,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls((1,) + (0,) * order, order)
 
-    @classmethod
-    def from_polynomial(cls, poly: ExactPolynomial, order: int) -> "TruncatedSeries":
-        return poly.as_series(order)
-
     def coefficient(self, exponent: int) -> int:
         if not 0 <= exponent <= self.truncation_order:
             raise ValueError(

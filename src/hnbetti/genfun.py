@@ -1,7 +1,8 @@
 """Closed-form generating functions for divisor varieties on a smooth curve.
 
 Everything here is classical generating-function bookkeeping for a smooth
-projective curve C of genus g over an algebraically closed field:
+projective curve C of genus g over an algebraically closed field.  The genus
+is the only curve invariant the formulas use, and it is passed as a plain int.
 
 * Macdonald's formula for the symmetric products C^(m):
       sum_m P(C^(m); t) u^m = (1 + u t)^(2g) / ((1 - u)(1 - u t^2)),
@@ -19,31 +20,32 @@ projective curve C of genus g over an algebraically closed field:
 
 * The same series obtained as minus the residue at u = 1 of
       E(t, u) = prod_{j=0..r-1} (1 + u t^(2j+1))^(2g)
-                / ((1 - u t^(2j)) (1 - u t^(2j+2))),
-  i.e. drop the unique (1 - u) factor of the denominator and set u = 1 in the
-  rest.  residue_series keeps the factored form and never multiplies the
-  closed-form product out, so it is an independent route to the same numbers.
+                / ((1 - u t^(2j)) (1 - u t^(2j+2))).
+  Factor j contributes the numerator (1 + u t^(2j+1))^(2g) and the
+  denominators (1 - u t^(2j)) and (1 - u t^(2j+2)); the only one with
+  t-exponent 0 is (1 - u) at j = 0, the simple pole.  Minus the residue drops
+  that factor and sets u = 1 in the rest.  residue_series keeps this factored
+  form and never multiplies the closed-form product out, so it is an
+  independent route to the same numbers.
+
+All of these hold for every genus g >= 0; the Harder-Narasimhan recursion
+built on them needs g >= 1 (see the strata module).  _check_genus is the one
+place a genus is checked against such a bound.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
 from .exactalg import ExactPolynomial, TruncatedSeries
 
 
-@dataclass(frozen=True)
-class CurveContext:
-    """The one curve invariant the formulas depend on."""
-
-    genus: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.genus, int) or self.genus < 0:
-            raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
+def _check_genus(genus: int, least: int) -> None:
+    """Reject a genus that is not an int or is below least."""
+    if not isinstance(genus, int) or genus < least:
+        raise ValueError(f"genus must be an integer >= {least}, got {genus!r}")
 
 
 def _one_plus_tpow(exponent: int) -> ExactPolynomial:
@@ -54,24 +56,22 @@ def _one_minus_tpow(exponent: int) -> ExactPolynomial:
     return ExactPolynomial.from_terms({0: 1, exponent: -1})
 
 
-@functools.lru_cache(maxsize=None)
-def _sym_poly(genus: int, points: int) -> ExactPolynomial:
+# typed: a float genus equal to a cached int must still be rejected.
+@functools.lru_cache(maxsize=None, typed=True)
+def sym_product_poly(genus: int, points: int) -> ExactPolynomial:
+    """Poincare polynomial of the m-fold symmetric product C^(m).
+
+    Degree 2m, palindromic, constant and leading coefficients 1.
+    """
+    _check_genus(genus, 0)
+    if points < 0:
+        raise ValueError("number of points must be nonnegative")
     coeffs = [0] * (2 * points + 1)
     for k in range(min(2 * genus, points) + 1):
         c = comb(2 * genus, k)
         for b in range(points - k + 1):
             coeffs[k + 2 * b] += c
     return ExactPolynomial(tuple(coeffs))
-
-
-def sym_product_poly(curve: CurveContext, points: int) -> ExactPolynomial:
-    """Poincare polynomial of the m-fold symmetric product C^(m).
-
-    Degree 2m, palindromic, constant and leading coefficients 1.
-    """
-    if points < 0:
-        raise ValueError("number of points must be nonnegative")
-    return _sym_poly(curve.genus, points)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -85,7 +85,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def div_finite_poly(
-    curve: CurveContext, rank: int, degree: int, twist_degree: int
+    genus: int, rank: int, degree: int, twist_degree: int
 ) -> ExactPolynomial:
     """Poincare polynomial of the bounded matrix-divisor variety Div(r, n; D).
 
@@ -93,6 +93,7 @@ def div_finite_poly(
     m = rank * twist_degree - degree >= 0; an empty range is rejected so the
     caller can tell the difference from the zero polynomial.
     """
+    _check_genus(genus, 0)
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if twist_degree < 0:
@@ -107,22 +108,23 @@ def div_finite_poly(
         weight = sum(i * m for i, m in enumerate(tup))
         term = ExactPolynomial.one()
         for m in tup:
-            term = term * _sym_poly(curve.genus, m)
+            term = term * sym_product_poly(genus, m)
         result = result + term * ExactPolynomial.monomial(2 * weight)
     return result
 
 
-def div_stable_series(curve: CurveContext, rank: int, order: int) -> TruncatedSeries:
+def div_stable_series(genus: int, rank: int, order: int) -> TruncatedSeries:
     """Poincare series of the rank-r matrix-divisor ind-variety, to the given order.
 
     Independent of the degree n.  Computed from the closed product formula by
     one series inversion of the multiplied-out denominator.
     """
+    _check_genus(genus, 0)
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    g2 = 2 * curve.genus
+    g2 = 2 * genus
     numerator = ExactPolynomial.one()
     for j in range(1, rank + 1):
         numerator = numerator * _one_plus_tpow(2 * j - 1) ** g2
@@ -132,38 +134,7 @@ def div_stable_series(curve: CurveContext, rank: int, order: int) -> TruncatedSe
     return denominator.inverse_series(order) * numerator
 
 
-@dataclass(frozen=True)
-class FactoredESeries:
-    """The bivariate series E(t, u) for rank r, kept in factored form.
-
-    One factor per j = 0..r-1: numerator (1 + u t^(2j+1))^(2g) and denominator
-    (1 - u t^(2j))(1 - u t^(2j+2)), recorded as the t-exponent triple
-    (2j+1, 2j, 2j+2).  Exactly one denominator exponent is zero: the simple
-    pole at u = 1 that the residue removes.
-    """
-
-    genus: int
-    rank: int
-    factors: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.rank < 1:
-            raise ValueError("need genus >= 0 and rank >= 1")
-        poles = sum(e == 0 for triple in self.factors for e in triple[1:])
-        if poles != 1:
-            raise ValueError(
-                f"factored series must carry exactly one u-pole at t^0, found {poles}"
-            )
-
-    @classmethod
-    def for_rank(cls, curve: CurveContext, rank: int) -> "FactoredESeries":
-        if rank < 1:
-            raise ValueError("rank must be at least 1")
-        factors = tuple((2 * j + 1, 2 * j, 2 * j + 2) for j in range(rank))
-        return cls(curve.genus, rank, factors)
-
-
-def residue_series(factored: FactoredESeries, order: int) -> TruncatedSeries:
+def residue_series(genus: int, rank: int, order: int) -> TruncatedSeries:
     """Minus the residue of E(t, u) at u = 1, as a t-series to the given order.
 
     Works factor by factor: substitute u = 1 everywhere, skip the single
@@ -171,13 +142,16 @@ def residue_series(factored: FactoredESeries, order: int) -> TruncatedSeries:
     time.  No multiplied-out closed form is used, so this is an independent
     cross-check of div_stable_series.
     """
+    _check_genus(genus, 0)
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    g2 = 2 * factored.genus
+    g2 = 2 * genus
     out = TruncatedSeries.one(order)
-    for num_exp, den_a, den_b in factored.factors:
-        out = out * _one_plus_tpow(num_exp) ** g2
-        for exp in (den_a, den_b):
+    for j in range(rank):
+        out = out * _one_plus_tpow(2 * j + 1) ** g2
+        for exp in (2 * j, 2 * j + 2):
             if exp == 0:
                 continue  # the removed pole
             out = out * _one_minus_tpow(exp).inverse_series(order)

@@ -98,12 +98,12 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
 from .exactalg import ExactPolynomial, TruncatedSeries
-from .genfun import CurveContext, div_stable_series
+from .genfun import _check_genus, div_stable_series
 from .strata import HNType
 
 TRUNCATION_SLACK = 10
@@ -127,8 +127,7 @@ class ModuliQuery:
     truncation: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ValueError(f"the recursion needs genus >= 1, got {self.genus}")
+        _check_genus(self.genus, 1)
         if self.rank < 1:
             raise ValueError(f"rank must be at least 1, got {self.rank}")
         if self.truncation is not None and self.truncation < 0:
@@ -144,13 +143,12 @@ class BettiChecks:
     palindromic: bool
     nonnegative: bool
 
+    def failed(self) -> list[str]:
+        """Names of the failed checks, in field order."""
+        return [f.name for f in fields(self) if not getattr(self, f.name)]
+
     def all_pass(self) -> bool:
-        return (
-            self.tail_vanishes
-            and self.degree_matches_2dim
-            and self.palindromic
-            and self.nonnegative
-        )
+        return not self.failed()
 
 
 @dataclass(frozen=True)
@@ -312,8 +310,7 @@ class MemoStore:
 
 def dim_moduli(genus: int, rank: int) -> int:
     """Dimension of the moduli space of stable bundles: 1 + rank^2 (genus - 1)."""
-    if genus < 1:
-        raise ValueError("the moduli space needs genus >= 1")
+    _check_genus(genus, 1)
     if rank < 1:
         raise ValueError("rank must be at least 1")
     return 1 + rank * rank * (genus - 1)
@@ -336,7 +333,7 @@ def ss_series(query: ModuliQuery, memo: Optional[MemoStore] = None) -> Truncated
     hit = memo.lookup(genus, rank, degree, order)
     if hit is not None:
         return hit
-    series = div_stable_series(CurveContext(genus), rank, order) - _strata_sum(
+    series = div_stable_series(genus, rank, order) - _strata_sum(
         genus, rank, degree, None, order, memo
     )
     memo.store(genus, rank, degree, series)
@@ -375,7 +372,7 @@ def _strata_sum(
         rest = _below_cap(genus, rank - r1, degree - d1, (d1, r1), sub_order, memo)
         # The product has exactly the order + 1 - shift coefficients total[shift:] holds.
         total[shift:] = map(operator.add, total[shift:], (head * rest).coefficients)
-    return TruncatedSeries(tuple(total), order)
+    return TruncatedSeries._trusted(tuple(total), order)
 
 
 def _below_cap(
@@ -389,9 +386,9 @@ def _below_cap(
     """F(rank, degree, cap): like _strata_sum, semistable type included.
 
     The sum of t^(2 codim) P(S_P) over every type P of (rank, degree) whose
-    top slope is below cap.  Callers guarantee degree / rank < cap.  Twisting moves degree to its class
-    mod rank and cap by the same whole number of slopes; the result, memoized
-    in memory under that key, is the same.
+    top slope is below cap.  Callers guarantee degree / rank < cap.  Twisting
+    moves degree to its class mod rank and cap by the same whole number of
+    slopes; the result, memoized in memory under that key, is the same.
     """
     twist = degree // rank
     num, den = cap[0] - twist * cap[1], cap[1]
@@ -474,12 +471,8 @@ def betti_poly(
         palindromic=(not poly.is_zero()) and poly.is_palindromic(),
         nonnegative=all(c >= 0 for c in poly.coefficients),
     )
-    if not checks.all_pass():
-        failed = [
-            name
-            for name in ("tail_vanishes", "degree_matches_2dim", "palindromic", "nonnegative")
-            if not getattr(checks, name)
-        ]
+    failed = checks.failed()
+    if failed:
         diagnostic = {
             "genus": query.genus,
             "rank": query.rank,
@@ -509,8 +502,7 @@ def rank2_oracle(genus: int, degree: int, order: int) -> TruncatedSeries:
     degree only enters through its parity, which is why a single closed form
     covers every odd n.
     """
-    if genus < 1:
-        raise ValueError("the oracle needs genus >= 1")
+    _check_genus(genus, 1)
     if degree % 2 == 0:
         raise ValueError(f"the rank-2 closed form needs odd degree, got {degree}")
     if order < 0:

@@ -13,7 +13,7 @@ to the kind; type lists additionally carry a "types" key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from ._version import __version__
@@ -29,8 +29,6 @@ _PAYLOAD_TYPES = {
     "type-list": tuple,
     "betti-report": BettiReport,
 }
-
-_CHECK_NAMES = ("tail_vanishes", "degree_matches_2dim", "palindromic", "nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,8 @@ def _metadata_parts(doc: OutputDocument) -> list[str]:
 def _checks_word(checks: Optional[BettiChecks]) -> str:
     if checks is None:
         return "skipped"
-    if checks.all_pass():
-        return "all pass"
-    failed = [name for name in _CHECK_NAMES if not getattr(checks, name)]
-    return "FAILED " + ", ".join(failed)
+    failed = checks.failed()
+    return "FAILED " + ", ".join(failed) if failed else "all pass"
 
 
 def _with_footer(body: str, parts: list[str]) -> str:
@@ -206,9 +202,7 @@ def render_json(doc: OutputDocument) -> str:
         obj["truncation"] = report.truncation_used
         obj["dimension"] = report.moduli_dimension
         if report.checks is not None:
-            obj["checks"] = {
-                name: getattr(report.checks, name) for name in _CHECK_NAMES
-            }
+            obj["checks"] = asdict(report.checks)
     else:
         obj["types"] = [
             {

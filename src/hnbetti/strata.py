@@ -39,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .genfun import _check_genus
+
 
 def _as_pairs(items: Iterable) -> tuple[tuple[int, int], ...]:
     out = []
@@ -130,8 +132,7 @@ class ShatzPolygon:
 
 def stratum_codim(hn_type: HNType, genus: int) -> int:
     """Codimension of the stratum with the given type, over a genus-g curve."""
-    if genus < 1:
-        raise ValueError("stratum codimension needs genus >= 1")
+    _check_genus(genus, 1)
     pieces = hn_type.pieces
     total = 0
     for i in range(len(pieces)):
@@ -156,8 +157,7 @@ def enumerate_types(
     smaller budget is a prefix of the list for a larger one.  Genus 0 is
     rejected: see the module docstring for why no finite bound exists there.
     """
-    if genus < 1:
-        raise ValueError("enumeration needs genus >= 1 (no finite bound at genus 0)")
+    _check_genus(genus, 1)  # no finite bound at genus 0
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if max_codim < 0:

@@ -13,7 +13,7 @@ import sys
 import time
 
 from hnbetti.exactalg import ExactPolynomial
-from hnbetti.genfun import CurveContext, FactoredESeries, div_finite_poly, div_stable_series, residue_series
+from hnbetti.genfun import div_finite_poly, div_stable_series, residue_series
 from hnbetti.hnrec import (
     MemoStore,
     ModuliQuery,
@@ -81,10 +81,9 @@ def test_criterion_2_rank_two_oracle():
 def test_criterion_3_residue_equals_closed_form():
     start = time.monotonic()
     for genus in (1, 2, 3):
-        curve = CurveContext(genus)
         for rank in (1, 2, 3, 4):
-            lhs = residue_series(FactoredESeries.for_rank(curve, rank), 40)
-            rhs = div_stable_series(curve, rank, 40)
+            lhs = residue_series(genus, rank, 40)
+            rhs = div_stable_series(genus, rank, 40)
             assert lhs.coefficients == rhs.coefficients
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"{elapsed:.2f}s"
@@ -94,12 +93,11 @@ def test_criterion_3_residue_equals_closed_form():
 def test_criterion_4_finite_level_stabilization():
     start = time.monotonic()
     for genus, rank, degree in ((2, 2, 1), (2, 3, 1), (3, 2, 1)):
-        curve = CurveContext(genus)
         deviated = False
         for twist in range(2, 9):
             bound = rank * twist - degree
-            finite = div_finite_poly(curve, rank, degree, twist)
-            stable = div_stable_series(curve, rank, 2 * bound)
+            finite = div_finite_poly(genus, rank, degree, twist)
+            stable = div_stable_series(genus, rank, 2 * bound)
             assert all(
                 finite.coefficient(i) == stable.coefficient(i) for i in range(bound)
             )
@@ -124,7 +122,7 @@ def test_criterion_5_stratification_additivity():
             shift = 2 * stratum_codim(hn_type, genus)
             piece = stratum_series(genus, hn_type, order - shift, memo)
             total = total + piece.times_t_power(shift)
-        closed = div_stable_series(CurveContext(genus), rank, order)
+        closed = div_stable_series(genus, rank, order)
         assert total.coefficients == closed.coefficients
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"{elapsed:.2f}s"

@@ -209,3 +209,22 @@ def test_help_and_version_exit_zero(capsys):
         from hnbetti.cli import main
 
         main()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sympoly", "--genus", "-1", "--points", "1"),
+        ("divpoly", "--genus", "-1", "--rank", "2", "--deg", "1", "--twist", "1"),
+        ("divseries", "--genus", "-1", "--rank", "2", "--truncate", "3"),
+        ("polygons", "--genus", "0", "--rank", "2", "--deg", "1", "--max-codim", "4"),
+        ("ssseries", "--genus", "0", "--rank", "2", "--deg", "1", "--truncate", "5"),
+        ("betti", "--genus", "0", "--rank", "2", "--deg", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exit_2_on_bad_genus(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "genus" in err

@@ -6,13 +6,13 @@ import pytest
 
 from hnbetti.exactalg import ExactPolynomial
 from hnbetti.genfun import (
-    CurveContext,
-    FactoredESeries,
     div_finite_poly,
     div_stable_series,
     residue_series,
     sym_product_poly,
 )
+from hnbetti.hnrec import ModuliQuery, dim_moduli, rank2_oracle
+from hnbetti.strata import HNType, enumerate_types, stratum_codim
 
 
 def _bivariate_sym_coefficients(genus, max_power):
@@ -41,17 +41,15 @@ def _bivariate_sym_coefficients(genus, max_power):
 
 
 def test_sym_product_examples():
-    c2 = CurveContext(2)
-    assert sym_product_poly(c2, 0) == ExactPolynomial.one()
-    assert sym_product_poly(c2, 1).coefficients == (1, 4, 1)
-    assert sym_product_poly(c2, 2).coefficients == (1, 4, 7, 4, 1)
+    assert sym_product_poly(2, 0) == ExactPolynomial.one()
+    assert sym_product_poly(2, 1).coefficients == (1, 4, 1)
+    assert sym_product_poly(2, 2).coefficients == (1, 4, 7, 4, 1)
 
 
 def test_sym_product_structure():
     for genus in range(5):
-        curve = CurveContext(genus)
         for m in range(9):
-            poly = sym_product_poly(curve, m)
+            poly = sym_product_poly(genus, m)
             assert poly.degree == 2 * m
             assert poly.is_palindromic()
             assert poly.coefficient(0) == 1
@@ -61,53 +59,49 @@ def test_sym_product_structure():
 def test_sym_product_matches_generating_function():
     for genus in (0, 1, 2, 3):
         expected = _bivariate_sym_coefficients(genus, 8)
-        curve = CurveContext(genus)
         for m, poly in enumerate(expected):
-            assert sym_product_poly(curve, m) == poly
+            assert sym_product_poly(genus, m) == poly
 
 
 def test_sym_product_rejects_bad_input():
     with pytest.raises(ValueError):
-        sym_product_poly(CurveContext(2), -1)
+        sym_product_poly(2, -1)
     with pytest.raises(ValueError):
-        CurveContext(-1)
+        sym_product_poly(-1, 0)
 
 
 def test_div_finite_examples():
-    c2 = CurveContext(2)
     # Rank 1: a single symmetric product.
-    assert div_finite_poly(c2, 1, 0, 2).coefficients == (1, 4, 7, 4, 1)
+    assert div_finite_poly(2, 1, 0, 2).coefficients == (1, 4, 7, 4, 1)
     # Zero total: the point.
-    assert div_finite_poly(c2, 1, 2, 2) == ExactPolynomial.one()
-    assert div_finite_poly(c2, 2, 1, 1).coefficients == (1, 4, 2, 4, 1)
+    assert div_finite_poly(2, 1, 2, 2) == ExactPolynomial.one()
+    assert div_finite_poly(2, 2, 1, 1).coefficients == (1, 4, 2, 4, 1)
 
 
 def test_div_finite_rejects_empty_range():
     with pytest.raises(ValueError):
-        div_finite_poly(CurveContext(2), 2, 5, 1)
+        div_finite_poly(2, 2, 5, 1)
     with pytest.raises(ValueError):
-        div_finite_poly(CurveContext(2), 0, 0, 1)
+        div_finite_poly(2, 0, 0, 1)
     with pytest.raises(ValueError):
-        div_finite_poly(CurveContext(2), 2, 0, -1)
+        div_finite_poly(2, 2, 0, -1)
 
 
 def test_div_stable_examples():
-    c2 = CurveContext(2)
-    assert div_stable_series(c2, 1, 5).coefficients == (1, 4, 7, 8, 8, 8)
-    assert div_stable_series(c2, 2, 3).coefficients == (1, 4, 8, 16)
+    assert div_stable_series(2, 1, 5).coefficients == (1, 4, 7, 8, 8, 8)
+    assert div_stable_series(2, 2, 3).coefficients == (1, 4, 8, 16)
     for rank in (1, 2, 3):
-        assert div_stable_series(c2, rank, 0).coefficients == (1,)
+        assert div_stable_series(2, rank, 0).coefficients == (1,)
 
 
 def test_div_finite_stabilizes_to_stable_series():
     # Finite and stable coefficients agree strictly below rank*twist - degree.
     for genus, rank, degree in ((2, 2, 1), (2, 3, 1), (3, 2, 1)):
-        curve = CurveContext(genus)
         deviated = False
         for twist in range(2, 9):
             total = rank * twist - degree
-            finite = div_finite_poly(curve, rank, degree, twist)
-            stable = div_stable_series(curve, rank, 2 * total)
+            finite = div_finite_poly(genus, rank, degree, twist)
+            stable = div_stable_series(genus, rank, 2 * total)
             for i in range(total):
                 assert finite.coefficient(i) == stable.coefficient(i)
             if any(
@@ -119,7 +113,6 @@ def test_div_finite_stabilizes_to_stable_series():
 
 
 def test_div_finite_coefficients_grow_with_twist():
-    curve = CurveContext(2)
     rng = random.Random(7)
     for _ in range(20):
         rank = rng.randrange(1, 4)
@@ -127,40 +120,48 @@ def test_div_finite_coefficients_grow_with_twist():
         twist = rng.randrange(max(1, degree), 6)
         if rank * twist - degree < 0:
             continue
-        small = div_finite_poly(curve, rank, degree, twist)
-        large = div_finite_poly(curve, rank, degree, twist + 1)
+        small = div_finite_poly(2, rank, degree, twist)
+        large = div_finite_poly(2, rank, degree, twist + 1)
         top = small.degree if small.degree is not None else 0
         assert all(
             small.coefficient(i) <= large.coefficient(i) for i in range(top + 1)
         )
 
 
-def test_factored_series_shape():
-    factored = FactoredESeries.for_rank(CurveContext(2), 3)
-    assert factored.factors == ((1, 0, 2), (3, 2, 4), (5, 4, 6))
-    with pytest.raises(ValueError):
-        FactoredESeries(2, 2, ((1, 0, 2), (3, 0, 4)))  # two poles
-    with pytest.raises(ValueError):
-        FactoredESeries(2, 2, ((1, 2, 2), (3, 2, 4)))  # no pole
-
-
 def test_residue_examples():
-    assert residue_series(
-        FactoredESeries.for_rank(CurveContext(2), 1), 5
-    ).coefficients == (1, 4, 7, 8, 8, 8)
-    assert residue_series(
-        FactoredESeries.for_rank(CurveContext(0), 1), 4
-    ).coefficients == (1, 0, 1, 0, 1)
-    assert residue_series(
-        FactoredESeries.for_rank(CurveContext(2), 2), 3
-    ).coefficients == (1, 4, 8, 16)
+    assert residue_series(2, 1, 5).coefficients == (1, 4, 7, 8, 8, 8)
+    assert residue_series(0, 1, 4).coefficients == (1, 0, 1, 0, 1)
+    assert residue_series(2, 2, 3).coefficients == (1, 4, 8, 16)
 
 
 def test_residue_agrees_with_closed_form():
     # Two genuinely different computations of the same series.
     for genus in range(4):
-        curve = CurveContext(genus)
         for rank in range(1, 5):
-            lhs = residue_series(FactoredESeries.for_rank(curve, rank), 25)
-            rhs = div_stable_series(curve, rank, 25)
+            lhs = residue_series(genus, rank, 25)
+            rhs = div_stable_series(genus, rank, 25)
             assert lhs.coefficients == rhs.coefficients
+
+
+
+# Each genus-taking function, called with a given genus, and the least genus it accepts.
+GENUS_CHECKED = {
+    "sym_product_poly": (0, lambda g: sym_product_poly(g, 1)),
+    "div_finite_poly": (0, lambda g: div_finite_poly(g, 2, 1, 1)),
+    "div_stable_series": (0, lambda g: div_stable_series(g, 2, 4)),
+    "residue_series": (0, lambda g: residue_series(g, 2, 4)),
+    "stratum_codim": (1, lambda g: stratum_codim(HNType(((1, 1), (1, 0))), g)),
+    "enumerate_types": (1, lambda g: enumerate_types(2, 1, g, 4)),
+    "ModuliQuery": (1, lambda g: ModuliQuery(g, 2, 1, 10)),
+    "dim_moduli": (1, lambda g: dim_moduli(g, 2)),
+    "rank2_oracle": (1, lambda g: rank2_oracle(g, 1, 10)),
+}
+
+
+@pytest.mark.parametrize("name", GENUS_CHECKED)
+def test_genus_is_checked_against_its_bound(name):
+    least, call = GENUS_CHECKED[name]
+    call(least)
+    for bad in (least - 1, float(least + 2), str(least + 2)):
+        with pytest.raises(ValueError, match="genus must be an integer >= "):
+            call(bad)

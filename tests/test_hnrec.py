@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
-from hnbetti.genfun import CurveContext, div_stable_series
+from hnbetti.genfun import div_stable_series
 from hnbetti.hnrec import (
     MemoStore,
     _strata_sum,
@@ -54,16 +54,14 @@ def test_ss_series_rank_one_is_divisor_series():
     for genus in (1, 2, 3):
         for degree in (-2, 0, 5):
             got = ss_series(ModuliQuery(genus, 1, degree, 12))
-            assert got.coefficients == div_stable_series(
-                CurveContext(genus), 1, 12
-            ).coefficients
+            assert got.coefficients == div_stable_series(genus, 1, 12).coefficients
 
 
 def test_ss_series_agrees_with_divisor_series_below_first_stratum():
     for genus, rank, degree in ((2, 2, 1), (2, 3, 1), (3, 2, 0)):
         order = 14
         ss = ss_series(ModuliQuery(genus, rank, degree, order))
-        div = div_stable_series(CurveContext(genus), rank, order)
+        div = div_stable_series(genus, rank, order)
         types = enumerate_types(rank, degree, genus, order)
         first = min(2 * stratum_codim(t, genus) for t in types)
         assert ss.coefficients[:first] == div.coefficients[:first]
@@ -107,7 +105,7 @@ def test_additivity_reconstructs_divisor_series():
             shift = 2 * stratum_codim(hn_type, genus)
             piece = stratum_series(genus, hn_type, order - shift, memo)
             total = total + piece.times_t_power(shift)
-        closed = div_stable_series(CurveContext(genus), rank, order)
+        closed = div_stable_series(genus, rank, order)
         assert total.coefficients == closed.coefficients
 
 

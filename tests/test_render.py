@@ -140,6 +140,23 @@ def test_text_rendering():
     assert render_text(skipped).endswith("(dim 1, checks: skipped)")
 
 
+def test_failed_checks_are_named_in_field_order():
+    checks = BettiChecks(True, False, True, False)
+    assert checks.failed() == ["degree_matches_2dim", "nonnegative"]
+    doc = OutputDocument(
+        "betti-report", BettiReport(ExactPolynomial((1, 2, 1)), 1, 12, checks)
+    )
+    assert render_text(doc).endswith(
+        "(dim 1, checks: FAILED degree_matches_2dim, nonnegative)"
+    )
+    assert list(json.loads(render_json(doc))["checks"].items()) == [
+        ("tail_vanishes", True),
+        ("degree_matches_2dim", False),
+        ("palindromic", True),
+        ("nonnegative", False),
+    ]
+
+
 def test_text_negative_and_zero_terms():
     doc = OutputDocument("polynomial", ExactPolynomial((-1, 0, 2, -3)))
     assert render_text(doc) == "-1 + 2t^2 - 3t^3"
