@@ -13,37 +13,29 @@ Solving for the semistable part gives the recursion implemented by ss_series:
 subtract the proper-strata sum, to the truncation order, from the closed-form
 series of the ind-variety.
 
-The proper-strata sum is not built type by type.  Write a type of total rank
-R and degree D as its first piece (r1, d1) followed by a type of the rest,
-(R', D') = (R - r1, D - d1), whose pieces all have slope below d1/r1.  In the
-codimension formula of the strata module, the pairs that pair the first piece
-with a later piece (r'_i, d'_i) add up to
-
-    c1 = sum over i of (r'_i d1 - r1 d'_i) + r'_i r1 (g - 1)
-       = R' d1 - r1 D' + r1 R' (g - 1)
-       = R d1 - r1 D + r1 (R - r1)(g - 1),
-
-which sees the rest only through its totals; the remaining pairs give the
-codimension of the rest as a type of its own.  The stratum series splits the
-same way, as the first piece's semistable series times the rest's product, so
+The proper-strata sum is not built type by type.  The strata module derives
+the first-piece recursion: a type of total rank R and degree D is a first
+piece (r1, d1) followed by a type of the rest (R - r1, D - d1) with top slope
+below d1/r1, and codim = c1 + codim(rest), where
+c1 = R d1 - r1 D + r1 (R - r1)(g - 1) sees the rest only through its totals.
+The stratum series splits the same way, as the first piece's semistable
+series times the rest's product, so
 
     sum over proper types of (R, D) of t^(2 codim) P(S_P)
         = sum over first pieces of t^(2 c1) P_ss(r1, d1) F(R - r1, D - d1, d1/r1),
 
 where P_ss(r, d) = P(Div^(r, d)^ss) and F(R, D, cap) is t^(2 codim) P(S_P)
 summed over every type P of (R, D) whose top slope is below cap, the
-semistable type (codimension 0) included.  A first piece has r1 < R and
-d1/r1 > D/R, because the top slope of a proper type exceeds the average
-slope.  Splitting off the first piece of the types counted by F in the same
-way gives F's own recursion,
+semistable type (codimension 0) included.  Splitting off the first piece of
+the types counted by F in the same way gives F's own recursion,
 
     F(R, D, cap) = P_ss(R, D) + sum over first pieces with d1/r1 < cap
                    of t^(2 c1) P_ss(r1, d1) F(R - r1, D - d1, d1/r1).
 
-The semistable term is always there: the rest of a type has average slope
-(D - d1)/(R - r1) < D/R < d1/r1, so every F the recursion asks for has
-D/R < cap.  _strata_sum is the sum over first pieces, with cap None for the
-proper-strata sum itself; _below_cap is F.
+To order T only first pieces with 2 c1 <= T contribute, and
+strata.first_pieces lists exactly those, with c1 <= T // 2.  _strata_sum is
+the sum over first pieces, with cap None for the proper-strata sum itself;
+_below_cap is F.
 
 Twist shift.  Tensoring with a line bundle of degree k sends each piece (r, d)
 to (r, d + k r).  Every slope moves by k, every cross term r_i d_j - r_j d_i
@@ -56,20 +48,15 @@ Both are memoized on the twist class: P_ss on (genus, R, D mod R) in
 MemoStore, F on (genus, R, D mod R, cap - floor(D/R)) in memory, each entry
 keeping the longest order computed so far.
 
-Termination bound (genus >= 1).  To order T only first pieces with
-2 c1 <= T contribute.  Here r1 (R - r1)(g - 1) >= 0, and R d1 - r1 D >= 1
-because d1/r1 > D/R, so c1 >= 1 and, for each r1 < R,
-
-    r1 D / R < d1 <= (T // 2 + r1 D - r1 (R - r1)(g - 1)) / R,
-
-a finite range (a cap only lowers its top).  Each term asks for P_ss and F at
-the order T - 2 c1 < T.  Give P_ss at rank R the weight 2R and F at rank R the
-weight 2R + 1: P_ss(R) asks for P_ss and F at ranks r1, R - r1 < R, and F(R)
-asks for P_ss(R) and for P_ss and F at ranks below R, so every call has a
-smaller weight than its caller.  Every call makes finitely many calls, and
-the weight cannot fall below 2, so the recursion ends.  At rank 1 there is no
-first piece at all: P_ss(1, d) is the ind-variety series and F(1, d, cap) is
-P_ss(1, d).
+Termination (genus >= 1).  Every first piece has c1 >= 1 and there are
+finitely many under a budget (strata module), so each term asks for P_ss and
+F at the order T - 2 c1 < T.  Give P_ss at rank R the weight 2R and F at
+rank R the weight 2R + 1: P_ss(R) asks for P_ss and F at ranks r1, R - r1 < R,
+and F(R) asks for P_ss(R) and for P_ss and F at ranks below R, so every call
+has a smaller weight than its caller.  Every call makes finitely many calls,
+and the weight cannot fall below 2, so the recursion ends.  At rank 1 there
+is no first piece at all: P_ss(1, d) is the ind-variety series and
+F(1, d, cap) is P_ss(1, d).
 
 When gcd(r, n) = 1 semistable equals stable and the moduli space N(r, n) of
 stable bundles has Poincare polynomial
@@ -104,7 +91,7 @@ from typing import Optional, Union
 
 from .exactalg import ExactPolynomial, TruncatedSeries
 from .genfun import _check_genus, div_stable_series
-from .strata import HNType
+from .strata import HNType, first_pieces
 
 TRUNCATION_SLACK = 10
 
@@ -353,20 +340,10 @@ def _strata_sum(
     cap is a slope (numerator, positive denominator), or None for no bound.
     Each term is the first piece's semistable series times F of the rest.
     """
-    budget = order // 2
-    pieces = []
-    for r1 in range(1, rank):
-        # codim_1 = rank * d1 - r1 * degree + r1 (rank - r1)(g - 1) = rank * d1 + base.
-        base = r1 * (rank - r1) * (genus - 1) - r1 * degree
-        d_hi = (budget - base) // rank
-        if cap is not None:
-            d_hi = min(d_hi, (cap[0] * r1 - 1) // cap[1])  # d1 / r1 < cap
-        for d1 in range((r1 * degree) // rank + 1, d_hi + 1):  # d1 / r1 > degree / rank
-            pieces.append((2 * (rank * d1 + base), r1, d1))
-    # Ascending shift: each key is first asked for at its largest order.
-    pieces.sort()
     total = [0] * (order + 1)
-    for shift, r1, d1 in pieces:
+    # Ascending codimension: each key is first asked for at its largest order.
+    for c1, r1, d1 in sorted(first_pieces(genus, rank, degree, cap, order // 2)):
+        shift = 2 * c1
         sub_order = order - shift
         head = ss_series(ModuliQuery(genus, r1, d1, sub_order), memo)
         rest = _below_cap(genus, rank - r1, degree - d1, (d1, r1), sub_order, memo)

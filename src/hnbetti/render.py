@@ -214,8 +214,17 @@ def render_json(doc: OutputDocument) -> str:
     return json.dumps(obj)
 
 
-def _polynomial_from_strings(strings: Sequence[str]) -> ExactPolynomial:
-    return ExactPolynomial(tuple(int(s) for s in strings))
+def _coefficients(strings: object) -> tuple[int, ...]:
+    # int() would also take a float or a bool, and change the value silently.
+    if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+        raise ValueError("coefficients must be a list of decimal strings")
+    return tuple(int(s) for s in strings)
+
+
+def _integer(value: object, what: str) -> int:
+    if type(value) is not int:  # bool is an int too
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def parse_json(text: str) -> OutputDocument:
@@ -225,21 +234,21 @@ def parse_json(text: str) -> OutputDocument:
         raise ValueError("document must be a JSON object")
     kind = data["kind"]
     if kind == "polynomial":
-        payload: object = _polynomial_from_strings(data["coefficients"])
+        payload: object = ExactPolynomial(_coefficients(data["coefficients"]))
     elif kind == "series":
-        coeffs = tuple(int(s) for s in data["coefficients"])
-        payload = TruncatedSeries(coeffs, data["truncation"])
+        coeffs = _coefficients(data["coefficients"])
+        payload = TruncatedSeries(coeffs, _integer(data["truncation"], "truncation"))
     elif kind == "betti-report":
         checks = data["checks"]
         payload = BettiReport(
-            polynomial=_polynomial_from_strings(data["coefficients"]),
-            moduli_dimension=data["dimension"],
-            truncation_used=data["truncation"],
+            polynomial=ExactPolynomial(_coefficients(data["coefficients"])),
+            moduli_dimension=_integer(data["dimension"], "dimension"),
+            truncation_used=_integer(data["truncation"], "truncation"),
             checks=None if checks is None else BettiChecks(**checks),
         )
     elif kind == "type-list":
         payload = tuple(
-            HNType(tuple((int(r), int(d)) for r, d in entry["pieces"]))
+            HNType([[_integer(x, "piece entry") for x in piece] for piece in entry["pieces"]])
             for entry in data["types"]
         )
     else:

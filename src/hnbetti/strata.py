@@ -13,31 +13,42 @@ matrix-divisor ind-variety over a genus-g curve, is the integer
 
     codim = sum over pairs i > j of  (r'_i d'_j - r'_j d'_i) + r'_i r'_j (g - 1).
 
-Termination bound for enumerate_types (genus >= 1).  Each pairwise cross term
-r'_i d'_j - r'_j d'_i is a positive integer (it is r'_i r'_j times the slope
-gap, which is strictly positive), and r'_i r'_j (g - 1) >= 0, so every pair
-contributes at least 1 to the codimension.  Summing only the pairs (i, 1) over
-i = 2..l telescopes to
+First-piece recursion (Atiyah-Bott 1983).  Write a type of total rank R and
+degree D as its first piece (r1, d1) followed by a type of the rest,
+(R - r1, D - d1), whose pieces all have slope below d1/r1.  The pairs that
+pair the first piece with a later piece (r'_i, d'_i) add up to
 
-    codim >= r * d'_1 - r'_1 * n,
+    c1 = sum over i of (r'_i d1 - r1 d'_i) + r'_i r1 (g - 1)
+       = (R - r1) d1 - r1 (D - d1) + r1 (R - r1)(g - 1)
+       = R d1 - r1 D + r1 (R - r1)(g - 1),
 
-so under a budget codim <= C the first piece satisfies
-d'_1 <= (r'_1 n + C) / r, while d'_1 > r'_1 n / r because the first slope
-strictly exceeds the total slope.  That is a finite range.  Once a prefix with
-aggregate rank R and degree D is fixed, appending a piece (rho, delta) adds
-exactly rho*D - R*delta + rho*R*(g - 1) to the codimension; this is strictly
-decreasing in delta, so the remaining budget bounds delta from below, and the
-slope ceiling of the previous piece bounds it from above.  Every branch of the
-search therefore ranges over finitely many integers, and each partial sum of
-codimension contributions is monotone, which justifies pruning.  For genus 0
-the per-pair lower bound fails (cross term 1 minus r'_i r'_j can be negative)
-and no finite bound exists; genus 0 is rejected.
+which sees the rest only through its totals; the remaining pairs give the
+codimension of the rest as a type of its own.  So codim = c1 + codim(rest),
+and when D/R is below a cap, the types of (R, D) with top slope below the cap
+and codimension <= C are the semistable type (R, D), of codimension 0, and
+for each first piece with slope below the cap and c1 <= C, that piece
+followed by each type of the rest with top slope below d1/r1 and
+codimension <= C - c1.  first_pieces lists the first pieces; enumerate_types
+and the strata sum of the hnrec module both recurse over it.
+
+Range of the first pieces (genus >= 1).  The top slope of a proper type
+exceeds its average slope, so d1/r1 > D/R, and r1 < R.  Then R d1 - r1 D >= 1
+and r1 (R - r1)(g - 1) >= 0, so c1 >= 1, and for each r1 < R the budget
+c1 <= C leaves the finite range
+
+    r1 D / R < d1 <= (C + r1 D - r1 (R - r1)(g - 1)) / R,
+
+whose top a cap can only lower.  The rest has a smaller rank and a smaller
+budget, so the recursion ends.  Its semistable type is always below its cap:
+the rest's slope (D - d1)/(R - r1) lies below D/R, hence below d1/r1.  At
+genus 0 the term r1 (R - r1)(g - 1) is negative, c1 can be 0 or less, and
+the budget no longer shrinks down the recursion; genus 0 is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Optional
 
 from .genfun import _check_genus
 
@@ -143,8 +154,24 @@ def stratum_codim(hn_type: HNType, genus: int) -> int:
     return total
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+def first_pieces(
+    genus: int, rank: int, degree: int, cap: Optional[tuple[int, int]], budget: int
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (c1, r1, d1) for every first piece of a proper type of (rank, degree).
+
+    These are the pieces with r1 < rank, degree / rank < d1 / r1 < cap and
+    c1 <= budget, where c1 = rank d1 - r1 degree + r1 (rank - r1)(genus - 1)
+    is what the piece adds to the codimension (see the module docstring).
+    cap is a slope (numerator, positive denominator), or None for no bound.
+    The genus must be at least 1; callers check it.
+    """
+    for r1 in range(1, rank):
+        base = r1 * (rank - r1) * (genus - 1) - r1 * degree  # c1 = rank * d1 + base
+        d_hi = (budget - base) // rank
+        if cap is not None:
+            d_hi = min(d_hi, (cap[0] * r1 - 1) // cap[1])  # d1 / r1 < cap
+        for d1 in range((r1 * degree) // rank + 1, d_hi + 1):  # d1 / r1 > degree / rank
+            yield rank * d1 + base, r1, d1
 
 
 def enumerate_types(
@@ -155,54 +182,23 @@ def enumerate_types(
     Proper means at least two pieces (the semistable stratum itself is not
     listed).  Results are sorted by (codimension, pieces), so the list for a
     smaller budget is a prefix of the list for a larger one.  Genus 0 is
-    rejected: see the module docstring for why no finite bound exists there.
+    rejected: see the module docstring for why the recursion needs genus >= 1.
     """
-    _check_genus(genus, 1)  # no finite bound at genus 0
+    _check_genus(genus, 1)
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if max_codim < 0:
         raise ValueError("codimension budget must be nonnegative")
 
-    found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    def below(r: int, d: int, cap: Optional[tuple[int, int]], budget: int):
+        # (codim, pieces) of every type of (r, d) with top slope below cap and
+        # codim <= budget, the semistable type first.
+        yield 0, ((r, d),)
+        for c1, r1, d1 in first_pieces(genus, r, d, cap, budget):
+            head = ((r1, d1),)
+            for codim, rest in below(r - r1, d - d1, (d1, r1), budget - c1):
+                yield c1 + codim, head + rest
 
-    def extend(
-        pieces: tuple[tuple[int, int], ...],
-        used_rank: int,
-        used_deg: int,
-        codim: int,
-    ) -> None:
-        rem_rank = rank - used_rank
-        rem_deg = degree - used_deg
-        last_rank, last_deg = pieces[-1]
-        # Close with one final piece carrying everything that remains.
-        if rem_deg * last_rank < last_deg * rem_rank:
-            extra = rem_rank * used_deg - used_rank * rem_deg
-            extra += rem_rank * used_rank * (genus - 1)
-            if codim + extra <= max_codim:
-                found.append((codim + extra, pieces + ((rem_rank, rem_deg),)))
-        # Or append an intermediate piece and recurse.
-        budget = max_codim - codim
-        for rho in range(1, rem_rank):
-            base = rho * (used_deg + used_rank * (genus - 1))
-            delta_lo = _ceil_div(base - budget, used_rank)
-            delta_hi = (last_deg * rho - 1) // last_rank  # strict slope ceiling
-            for delta in range(delta_lo, delta_hi + 1):
-                # The tail must fit strictly under slope delta/rho.
-                if rho * (rem_deg - delta) >= delta * (rem_rank - rho):
-                    continue
-                extend(
-                    pieces + ((rho, delta),),
-                    used_rank + rho,
-                    used_deg + delta,
-                    codim + base - used_rank * delta,
-                )
-
-    for first_rank in range(1, rank):
-        # rank * d > first_rank * degree and rank * d - first_rank * degree <= budget.
-        d_lo = (first_rank * degree) // rank + 1
-        d_hi = (first_rank * degree + max_codim) // rank
-        for d in range(d_lo, d_hi + 1):
-            extend(((first_rank, d),), first_rank, d, 0)
-
-    found.sort()
-    return [HNType(pieces) for _, pieces in found]
+    found = sorted(below(rank, degree, None, max_codim))
+    # found[0] is the semistable type, the only one of codimension 0.
+    return [HNType(pieces) for _, pieces in found[1:]]

@@ -1,4 +1,4 @@
-"""Cache directory behaviour: twist-class keys and concurrent writers."""
+"""Cache directory behaviour: twist-class keys, concurrent writers, bad files."""
 
 import json
 import os
@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hnbetti
 from hnbetti.cli import run
@@ -94,3 +96,27 @@ def test_concurrent_writers_on_one_cache_dir(tmp_path):
             assert code == 0, err.decode(errors="replace")
             outputs.add(out)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "field, index, value",
+    [("truncation", None, 4.0), ("coefficients", 2, 8.9), ("coefficients", 1, True)],
+)
+def test_numbers_where_the_format_has_strings_are_a_miss(capsys, tmp_path, field, index, value):
+    # These were served as 4.0, 8 and 1: a changed stdout, and exit 0.
+    argv = ["ssseries", "--genus", "2", "--rank", "1", "--deg", "0", "--truncate", "4",
+            "--strict-cache", "--cache-dir", str(tmp_path)]
+    assert run(argv) == 0
+    cold, _ = capsys.readouterr()
+    path = tmp_path / "ss_g2_r1_n0_T4.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if index is None:
+        data[field] = value
+    else:
+        data[field][index] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+    assert run(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == cold
+    assert "cache warning: cache file ss_g2_r1_n0_T4.json" in err

@@ -219,3 +219,27 @@ def test_parse_json_rejects_garbage():
     with pytest.raises(ValueError):
         parse_json(json.dumps({"kind": "poem", "genus": None, "rank": None,
                                "degree": None, "version": "0.1.0"}))
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        ("polynomial", ("coefficients", 1), 4),
+        ("series", ("coefficients", 2), 8.9),
+        ("series", ("coefficients", 0), True),
+        ("series", ("truncation",), 3.0),
+        ("type-list", ("types", 1, "pieces", 0, 1), 2.9),
+        ("betti-report", ("dimension",), 5.0),
+        ("betti-report", ("truncation",), True),
+    ],
+)
+def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
+    # Coefficients are decimal strings, and the other numbers plain ints: int()
+    # would have read 8.9 as 8 and True as 1.
+    data = json.loads(render_json(next(d for d in _docs() if d.kind == kind)))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError):
+        parse_json(json.dumps(data))

@@ -12,10 +12,15 @@ from hnbetti.strata import HNType, ShatzPolygon, enumerate_types, stratum_codim
 def brute_force_types(rank, degree, genus, max_codim):
     """Independent exhaustive scan over a box that provably contains everything.
 
-    Any type with codimension <= C has first slope at most degree/rank + C/rank
-    and last slope at least degree/rank - C/rank, and every piece degree is
-    trapped between rank times those slopes; the box |d| <= C + |degree| + rank^2
-    covers that with room to spare on this test domain.
+    At genus >= 1 every pair of pieces adds a nonnegative amount to the
+    codimension.  The pairs of the first piece with the others add up to
+    rank * d'_1 - r'_1 * degree, and those of the last piece with the others
+    to r'_l * degree - rank * d'_l.  So a type with codimension <= C has
+    first slope at most degree/rank + C/rank and last slope at least
+    degree/rank - C/rank, every slope lies in between, and each piece degree
+    d' = r' * slope has |d'| <= |degree| + C.  The box
+    |d| <= C + |degree| + rank^2 covers that with room to spare, for every
+    genus >= 1, rank and degree.
     """
     bound = max_codim + abs(degree) + rank * rank
     found = set()
@@ -166,11 +171,19 @@ def test_enumerate_is_sorted_and_prefix_monotone():
 
 
 def test_enumerate_matches_brute_force():
-    for rank in (2, 3):
-        for degree in (-2, 0, 1, 3):
-            for budget in (0, 4, 9):
-                got = {t.pieces for t in enumerate_types(rank, degree, 2, budget)}
-                assert got == brute_force_types(rank, degree, 2, budget)
+    # One scan per (genus, rank, degree) at the largest budget, cut down to
+    # each budget by codimension.  The degrees cover every class mod 2 and 4.
+    for genus in (1, 2, 3):
+        for rank, budgets in ((2, (0, 4, 9)), (3, (0, 4, 9)), (4, (0, 4, 9, 12))):
+            for degree in (-2, 0, 1, 3):
+                scanned = {
+                    pieces: stratum_codim(HNType(pieces), genus)
+                    for pieces in brute_force_types(rank, degree, genus, budgets[-1])
+                }
+                for budget in budgets:
+                    got = {t.pieces for t in enumerate_types(rank, degree, genus, budget)}
+                    want = {pieces for pieces, c in scanned.items() if c <= budget}
+                    assert got == want, (genus, rank, degree, budget)
 
 
 def test_enumerate_twist_bijection():
