@@ -19,23 +19,23 @@ piece (r1, d1) followed by a type of the rest (R - r1, D - d1) with top slope
 below d1/r1, and codim = c1 + codim(rest), where
 c1 = R d1 - r1 D + r1 (R - r1)(g - 1) sees the rest only through its totals.
 The stratum series splits the same way, as the first piece's semistable
-series times the rest's product, so
+series times the rest's product.  Write P_ss(r, d) = P(Div^(r, d)^ss), and
+let F(R, D, cap) be t^(2 codim) P(S_P) summed over every type P of (R, D)
+whose top slope is below cap, the semistable type (codimension 0) included.
+Each first piece of (R, D) gives the term
 
-    sum over proper types of (R, D) of t^(2 codim) P(S_P)
-        = sum over first pieces of t^(2 c1) P_ss(r1, d1) F(R - r1, D - d1, d1/r1),
+    term(r1, d1) = t^(2 c1) P_ss(r1, d1) F(R - r1, D - d1, d1/r1),
 
-where P_ss(r, d) = P(Div^(r, d)^ss) and F(R, D, cap) is t^(2 codim) P(S_P)
-summed over every type P of (R, D) whose top slope is below cap, the
-semistable type (codimension 0) included.  Splitting off the first piece of
-the types counted by F in the same way gives F's own recursion,
+the proper-strata sum is the sum of all terms, and so
 
-    F(R, D, cap) = P_ss(R, D) + sum over first pieces with d1/r1 < cap
-                   of t^(2 c1) P_ss(r1, d1) F(R - r1, D - d1, d1/r1).
+    P_ss(R, D)   = P_Div(R) - sum over all first pieces of term(r1, d1),
+    F(R, D, cap) = P_ss(R, D) + sum over first pieces with d1/r1 < cap of term
+                 = P_Div(R) - sum over first pieces with d1/r1 >= cap of term.
 
-To order T only first pieces with 2 c1 <= T contribute, and
-strata.first_pieces lists exactly those, with c1 <= T // 2.  _strata_sum is
-the sum over first pieces, with cap None for the proper-strata sum itself;
-_below_cap is F.
+Every F of (R, D) is therefore a prefix cut of one list: the terms of (R, D)
+sorted by slope, descending, and subtracted one at a time from P_Div(R).  To
+order T only first pieces with 2 c1 <= T contribute, and strata.first_pieces
+lists exactly those, with c1 <= T // 2.
 
 Twist shift.  Tensoring with a line bundle of degree k sends each piece (r, d)
 to (r, d + k r).  Every slope moves by k, every cross term r_i d_j - r_j d_i
@@ -44,19 +44,30 @@ P_ss depends on the degree only through d mod r, and
 
     F(R, D, cap) = F(R, D + k R, cap + k)  for every integer k.
 
-Both are memoized on the twist class: P_ss on (genus, R, D mod R) in
-MemoStore, F on (genus, R, D mod R, cap - floor(D/R)) in memory, each entry
-keeping the longest order computed so far.
+The twist class (genus, R, D mod R) is the memo key of P_ss, and F is asked
+of that class with its cap moved by the same twist, in lowest terms.
 
-Termination (genus >= 1).  Every first piece has c1 >= 1 and there are
-finitely many under a budget (strata module), so each term asks for P_ss and
-F at the order T - 2 c1 < T.  Give P_ss at rank R the weight 2R and F at
-rank R the weight 2R + 1: P_ss(R) asks for P_ss and F at ranks r1, R - r1 < R,
-and F(R) asks for P_ss(R) and for P_ss and F at ranks below R, so every call
-has a smaller weight than its caller.  Every call makes finitely many calls,
-and the weight cannot fall below 2, so the recursion ends.  At rank 1 there
-is no first piece at all: P_ss(1, d) is the ind-variety series and
-F(1, d, cap) is P_ss(1, d).
+Plan and build.  ss_series solves a request in two passes over the twist
+classes it needs.  The plan goes by rank, from the requested rank down.  Every
+class that asks anything of a class of rank R has a larger rank, so when the
+plan reaches R, the largest order asked of each class of rank R, and of each
+of its cuts F, is known.  A class that the memo serves at that order, and of
+which no cut is asked, is done; the memo holds no cuts, so a class of which a
+cut is asked is built even when the memo holds it.  Every class to build
+asks each of its heads P_ss(r1, d1) and rests F(R - r1, D - d1, d1/r1) for
+the order T - 2 c1.  The build goes by rank from 1 up, so the heads and rests
+of a class are ready before it.  It builds each class once, at its planned
+order: one head x rest product per first piece, subtracted from P_Div(R) in
+descending slope order.  On the way it records each planned cut; a term
+whose slope equals the cap is subtracted first, as F keeps only slopes
+strictly below it.  What is left at the end is P_ss, which goes to the memo;
+the terms are dropped.
+
+Termination (genus >= 1).  A class has finitely many first pieces (strata
+module), and its heads and rests have the ranks r1 and R - r1, both below R.
+So the planned ranks strictly decrease, and the plan ends at rank 1, where
+there is no first piece: P_ss(1, d) and every F(1, d, cap) are the
+ind-variety series.
 
 When gcd(r, n) = 1 semistable equals stable and the moduli space N(r, n) of
 stable bundles has Poincare polynomial
@@ -81,6 +92,7 @@ recursion, which makes it an independent witness for the main path.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import operator
 import os
@@ -168,15 +180,11 @@ class MemoStore:
     with the same key and a truncation order at least as large.  Unreadable or
     inconsistent files are treated as misses; a note is appended to
     ``warnings`` for each.
-
-    The partial sums F of the first-piece recursion (see _below_cap) are kept
-    here too, in memory only.
     """
 
     def __init__(self, cache_dir: Union[str, Path, None] = None):
         self._lock = threading.Lock()
         self._entries: dict[tuple[int, int, int], TruncatedSeries] = {}
-        self._capped: dict[tuple[int, int, int, int, int], TruncatedSeries] = {}
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.warnings: list[str] = []
 
@@ -306,83 +314,115 @@ def dim_moduli(genus: int, rank: int) -> int:
 def ss_series(query: ModuliQuery, memo: Optional[MemoStore] = None) -> TruncatedSeries:
     """Poincare series of the semistable locus, to the query's truncation order.
 
-    Closed-form ind-variety series minus the proper-strata sum, computed by
-    the first-piece recursion described in the module docstring.  The series
-    depends on the degree only through its twist class, degree mod rank, which
-    is what it is computed and memoized under.
+    Closed-form ind-variety series minus the proper-strata sum, planned and
+    built as the module docstring describes.  The series depends on the
+    degree only through its twist class, degree mod rank, which is what it is
+    computed and memoized under.
     """
     if query.truncation is None:
         raise ValueError("ss_series needs an explicit truncation order")
     if memo is None:
         memo = MemoStore()
-    genus, rank, order = query.genus, query.rank, query.truncation
-    degree = query.degree % rank
-    hit = memo.lookup(genus, rank, degree, order)
-    if hit is not None:
-        return hit
-    series = div_stable_series(genus, rank, order) - _strata_sum(
-        genus, rank, degree, None, order, memo
-    )
-    memo.store(genus, rank, degree, series)
-    return series
+    top = (query.rank, query.degree % query.rank)
+    orders, cuts, served = _plan(query.genus, top, query.truncation, memo)
+    _build(query.genus, orders, cuts, served, memo)
+    return served[top]
 
 
-def _strata_sum(
-    genus: int,
-    rank: int,
-    degree: int,
-    cap: Optional[tuple[int, int]],
-    order: int,
-    memo: MemoStore,
-) -> TruncatedSeries:
-    """Sum of t^(2 codim) P(S_P) over proper types P whose top slope is below cap.
-
-    cap is a slope (numerator, positive denominator), or None for no bound.
-    Each term is the first piece's semistable series times F of the rest.
-    """
-    total = [0] * (order + 1)
-    # Ascending codimension: each key is first asked for at its largest order.
-    for c1, r1, d1 in sorted(first_pieces(genus, rank, degree, cap, order // 2)):
-        shift = 2 * c1
-        sub_order = order - shift
-        head = ss_series(ModuliQuery(genus, r1, d1, sub_order), memo)
-        rest = _below_cap(genus, rank - r1, degree - d1, (d1, r1), sub_order, memo)
-        # The product has exactly the order + 1 - shift coefficients total[shift:] holds.
-        total[shift:] = map(operator.add, total[shift:], (head * rest).coefficients)
-    return TruncatedSeries._trusted(tuple(total), order)
+# A twist class (rank, degree mod rank) at a fixed genus, and a slope
+# (numerator, positive denominator).
+ClassKey = tuple[int, int]
+Slope = tuple[int, int]
 
 
-def _below_cap(
-    genus: int,
-    rank: int,
-    degree: int,
-    cap: tuple[int, int],
-    order: int,
-    memo: MemoStore,
-) -> TruncatedSeries:
-    """F(rank, degree, cap): like _strata_sum, semistable type included.
-
-    The sum of t^(2 codim) P(S_P) over every type P of (rank, degree) whose
-    top slope is below cap.  Callers guarantee degree / rank < cap.  Twisting
-    moves degree to its class mod rank and cap by the same whole number of
-    slopes; the result, memoized in memory under that key, is the same.
-    """
+def _twist_class(rank: int, degree: int, cap: Slope) -> tuple[ClassKey, Slope]:
+    """The twist class of (rank, degree), and cap moved by the same twist."""
     twist = degree // rank
     num, den = cap[0] - twist * cap[1], cap[1]
     common = math.gcd(num, den)
-    key = (genus, rank, degree - twist * rank, num // common, den // common)
-    with memo._lock:
-        hit = memo._capped.get(key)
-    if hit is not None and hit.truncation_order >= order:
-        return hit.truncate(order)
-    series = ss_series(ModuliQuery(genus, rank, key[2], order), memo) + _strata_sum(
-        genus, rank, key[2], key[3:], order, memo
-    )
-    with memo._lock:
-        kept = memo._capped.get(key)
-        if kept is None or kept.truncation_order < order:
-            memo._capped[key] = series
-    return series
+    return (rank, degree - twist * rank), (num // common, den // common)
+
+
+Orders = dict[ClassKey, int]
+Cuts = dict[ClassKey, dict[Slope, int]]
+Served = dict[ClassKey, TruncatedSeries]
+
+
+def _plan(genus: int, top: ClassKey, order: int, memo: MemoStore) -> tuple[Orders, Cuts, Served]:
+    """The classes to build for top, from the top rank down (module docstring).
+
+    Returns the order each needed class is asked for, the order each cut of a
+    class is asked for, and the classes the memo serves.
+    """
+    orders: Orders = {top: order}
+    cuts: Cuts = {}
+    served: Served = {}
+    for rank in range(top[0], 0, -1):
+        for degree in range(rank):
+            key = (rank, degree)
+            if key not in orders:
+                continue
+            key_order = orders[key]
+            hit = memo.lookup(genus, rank, degree, key_order)
+            if hit is not None and key not in cuts:
+                served[key] = hit
+                continue
+            for c1, r1, d1 in first_pieces(genus, rank, degree, None, key_order // 2):
+                sub = key_order - 2 * c1
+                rest, cap = _twist_class(rank - r1, degree - d1, (d1, r1))
+                for asked in ((r1, d1 % r1), rest):
+                    orders[asked] = max(orders.get(asked, sub), sub)
+                rest_cuts = cuts.setdefault(rest, {})
+                rest_cuts[cap] = max(rest_cuts.get(cap, sub), sub)
+    return orders, cuts, served
+
+
+# Sort key for slopes: larger first, compared by cross-multiplication.
+_DESCENDING = functools.cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
+
+
+def _build(
+    genus: int, orders: Orders, cuts: Cuts, served: Served, memo: MemoStore
+) -> dict[tuple[int, int, int, int], TruncatedSeries]:
+    """Build each planned class not yet served, from rank 1 up, into served.
+
+    Returns every planned cut F, keyed by (rank, degree mod rank, cap).
+    """
+    below: dict[tuple[int, int, int, int], TruncatedSeries] = {}
+    for key in sorted(orders):
+        if key in served:
+            continue
+        rank, degree = key
+        order = orders[key]
+        pieces = sorted(
+            first_pieces(genus, rank, degree, None, order // 2),
+            key=lambda piece: _DESCENDING((piece[2], piece[1])),
+        )
+        acc = list(div_stable_series(genus, rank, order).coefficients)
+
+        def subtract(c1: int, r1: int, d1: int) -> None:
+            shift = 2 * c1
+            rest, cap = _twist_class(rank - r1, degree - d1, (d1, r1))
+            # The head is truncated, so the product has the order - shift + 1
+            # coefficients acc[shift:] holds.
+            term = served[(r1, d1 % r1)].truncate(order - shift) * below[rest + cap]
+            acc[shift:] = map(operator.sub, acc[shift:], term.coefficients)
+
+        done = 0
+        key_cuts = sorted(cuts.get(key, {}).items(), key=lambda cut: _DESCENDING(cut[0]))
+        for (num, den), cut_order in key_cuts:
+            # F keeps only slopes strictly below the cap.
+            while done < len(pieces) and pieces[done][2] * den >= num * pieces[done][1]:
+                subtract(*pieces[done])
+                done += 1
+            below[key + (num, den)] = TruncatedSeries._trusted(
+                tuple(acc[: cut_order + 1]), cut_order
+            )
+        for piece in pieces[done:]:
+            subtract(*piece)
+        served[key] = TruncatedSeries._trusted(tuple(acc), order)
+        memo.store(genus, rank, degree, served[key])
+    return below
 
 
 def stratum_series(

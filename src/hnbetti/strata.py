@@ -83,6 +83,13 @@ class HNType:
                     f"slopes must strictly decrease: violated at piece {i + 1}"
                 )
 
+    @classmethod
+    def _trusted(cls, pieces: tuple[tuple[int, int], ...]) -> "HNType":
+        """Wrap pieces already known to form a valid type, skipping validation."""
+        hn_type = object.__new__(cls)
+        object.__setattr__(hn_type, "pieces", pieces)
+        return hn_type
+
     @property
     def length(self) -> int:
         return len(self.pieces)
@@ -200,5 +207,6 @@ def enumerate_types(
                 yield c1 + codim, head + rest
 
     found = sorted(below(rank, degree, None, max_codim))
-    # found[0] is the semistable type, the only one of codimension 0.
-    return [HNType(pieces) for _, pieces in found[1:]]
+    # found[0] is the semistable type, the only one of codimension 0.  below
+    # yields int pieces with positive ranks and dropping slopes.
+    return [HNType._trusted(pieces) for _, pieces in found[1:]]

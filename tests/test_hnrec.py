@@ -5,11 +5,11 @@ import math
 
 import pytest
 
+from hnbetti import hnrec
 from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
 from hnbetti.genfun import div_stable_series
 from hnbetti.hnrec import (
     MemoStore,
-    _strata_sum,
     ModuliQuery,
     StructuralCheckError,
     betti_poly,
@@ -235,19 +235,103 @@ def test_memo_rejects_mismatched_file_metadata(tmp_path):
 
 
 def test_strata_recursion_matches_type_enumeration():
-    # The first-piece recursion must give the sum over enumerated types.  One
-    # memo store serves all degrees, so twist-shifted keys get exercised.  Both
-    # sides take their first pieces from strata.first_pieces, so this checks
-    # the series side; test_enumerate_matches_brute_force checks the pieces.
+    # The proper-strata sum the recursion subtracts must be the sum over
+    # enumerated types.  One memo store serves all degrees, so twist-shifted
+    # keys get exercised.  Both sides take their first pieces from
+    # strata.first_pieces, so this checks the series side;
+    # test_enumerate_matches_brute_force checks the pieces.
     for genus in (1, 2, 3):
         memo = MemoStore()
         for rank in range(1, 6):
             for degree in (-4, -1, 0, 1, 2, 5):
                 for order in (6, 17, 40, 61):
-                    got = _strata_sum(genus, rank, degree, None, order, memo)
+                    got = div_stable_series(genus, rank, order) - ss_series(
+                        ModuliQuery(genus, rank, degree, order), memo
+                    )
                     want = TruncatedSeries((0,) * (order + 1), order)
                     for hn_type in enumerate_types(rank, degree, genus, order // 2):
                         shift = 2 * stratum_codim(hn_type, genus)
                         piece = stratum_series(genus, hn_type, order - shift, memo)
                         want = want + piece.times_t_power(shift)
                     assert got.coefficients == want.coefficients, (genus, rank, degree, order)
+
+
+def test_cuts_are_partial_strata_sums():
+    # Every cut F(R, D, cap) the build records is P_ss(R, D) plus t^(2 codim)
+    # P(S_P) over the types P of (R, D) whose first piece has slope below cap.
+    # Plans of every class of ranks 3-6 ask for cuts of every class of ranks
+    # 2-5; some caps equal the slope of a first piece that counts at the cut's
+    # order, and such types must be left out.
+    for genus, order in ((1, 30), (2, 36), (3, 44)):
+        memo = MemoStore()
+        classes = set()
+        on_boundary = 0
+        for top_rank in range(3, 7):
+            for top_degree in range(top_rank):
+                top = (top_rank, top_degree)
+                orders, cuts, served = hnrec._plan(genus, top, order, MemoStore())
+                below = hnrec._build(genus, orders, cuts, served, MemoStore())
+                assert len(below) == sum(len(c) for c in cuts.values())
+                for (rank, degree, num, den), got in below.items():
+                    cut_order = cuts[(rank, degree)][(num, den)]
+                    assert got.truncation_order == cut_order
+                    classes.add((rank, degree))
+                    want = ss_series(ModuliQuery(genus, rank, degree, cut_order), memo)
+                    for hn_type in enumerate_types(rank, degree, genus, cut_order // 2):
+                        r1, d1 = hn_type.pieces[0]
+                        if d1 * den >= num * r1:
+                            on_boundary += d1 * den == num * r1
+                            continue
+                        shift = 2 * stratum_codim(hn_type, genus)
+                        piece = stratum_series(genus, hn_type, cut_order - shift, memo)
+                        want = want + piece.times_t_power(shift)
+                    assert got.coefficients == want.coefficients, (genus, rank, degree, num, den)
+        assert {(r, n) for r in range(2, 6) for n in range(r)} <= classes, genus
+        assert on_boundary > 0, genus
+
+
+class _RecordingMemo(MemoStore):
+    def __init__(self, cache_dir=None):
+        super().__init__(cache_dir)
+        self.stored = []
+        self.written = []
+
+    def store(self, genus, rank, degree, series):
+        self.stored.append(((rank, degree), series.truncation_order))
+        super().store(genus, rank, degree, series)
+
+    def _write_file(self, genus, rank, degree, series):
+        self.written.append((rank, degree))
+        super()._write_file(genus, rank, degree, series)
+
+
+def test_each_planned_class_is_built_once(monkeypatch):
+    # One ind-variety series per build, one store per class, at its planned order.
+    builds = []
+
+    def counted(genus, rank, order):
+        builds.append((rank, order))
+        return div_stable_series(genus, rank, order)
+
+    monkeypatch.setattr(hnrec, "div_stable_series", counted)
+    cases = ((1, 6, 1, 30), (2, 5, 2, 40), (3, 4, 1, 50), (2, 8, 1, 122))
+    for genus, rank, degree, order in cases:
+        orders, _, _ = hnrec._plan(genus, (rank, degree), order, MemoStore())
+        builds.clear()
+        memo = _RecordingMemo()
+        ss_series(ModuliQuery(genus, rank, degree, order), memo)
+        assert len(builds) == len(orders)
+        assert sorted(memo.stored) == sorted(orders.items())
+
+
+def test_warm_cache_classes_are_loaded_not_rebuilt_or_rewritten(tmp_path):
+    # With every class but the requested one on disk, only the requested
+    # class is written again; classes with cuts are rebuilt in memory only.
+    cold = _RecordingMemo(tmp_path)
+    want = ss_series(ModuliQuery(2, 5, 1, 40), cold)
+    assert sorted(cold.written) == sorted(key for key, _ in cold.stored)
+    (tmp_path / "ss_g2_r5_n1_T40.json").unlink()
+    warm = _RecordingMemo(tmp_path)
+    assert ss_series(ModuliQuery(2, 5, 1, 40), warm).coefficients == want.coefficients
+    assert warm.written == [(5, 1)]
+    assert not warm.warnings

@@ -21,25 +21,34 @@ def brute_force_types(rank, degree, genus, max_codim):
     d' = r' * slope has |d'| <= |degree| + C.  The box
     |d| <= C + |degree| + rank^2 covers that with room to spare, for every
     genus >= 1, rank and degree.
+
+    For each sequence of ranks, the degrees are chosen one piece at a time,
+    each in ascending order over the box.  Once a piece's slope reaches the
+    slope before it, every larger degree does too, and so does every way of
+    going on from there, so that degree loop stops.
     """
     bound = max_codim + abs(degree) + rank * rank
+
+    def degrees(ranks, prefix):
+        # Degree sequences over the box with strictly dropping slopes.
+        i = len(prefix)
+        if i == len(ranks) - 1:
+            last = degree - sum(prefix)
+            if abs(last) <= bound and prefix[-1] * ranks[i] > last * ranks[i - 1]:
+                yield prefix + (last,)
+            return
+        for d in range(-bound, bound + 1):
+            if prefix and prefix[-1] * ranks[i] <= d * ranks[i - 1]:
+                break
+            yield from degrees(ranks, prefix + (d,))
+
     found = set()
     for length in range(2, rank + 1):
         for ranks in itertools.product(range(1, rank + 1), repeat=length):
             if sum(ranks) != rank:
                 continue
-            for degs in itertools.product(
-                range(-bound, bound + 1), repeat=length - 1
-            ):
-                last = degree - sum(degs)
-                if abs(last) > bound:
-                    continue
-                pieces = tuple(zip(ranks, degs + (last,)))
-                if not all(
-                    pieces[i][1] * pieces[i + 1][0] > pieces[i + 1][1] * pieces[i][0]
-                    for i in range(length - 1)
-                ):
-                    continue
+            for degs in degrees(ranks, ()):
+                pieces = tuple(zip(ranks, degs))
                 if stratum_codim(HNType(pieces), genus) <= max_codim:
                     found.add(pieces)
     return found
@@ -184,6 +193,17 @@ def test_enumerate_matches_brute_force():
                     got = {t.pieces for t in enumerate_types(rank, degree, genus, budget)}
                     want = {pieces for pieces, c in scanned.items() if c <= budget}
                     assert got == want, (genus, rank, degree, budget)
+
+
+def test_enumerated_types_are_valid_through_the_public_constructor():
+    # enumerate_types skips HNType validation; every type it lists must still
+    # pass it, with int entries.
+    for genus in (1, 2, 3):
+        for rank in range(1, 7):
+            for degree in range(rank):
+                for t in enumerate_types(rank, degree, genus, 20):
+                    assert HNType(t.pieces) == t
+                    assert all(type(x) is int for piece in t.pieces for x in piece)
 
 
 def test_enumerate_twist_bijection():
