@@ -1,4 +1,4 @@
-"""Semistable-locus recursion and Betti numbers of the stable-bundle moduli space.
+"""Semistable-locus series and Betti numbers of the stable-bundle moduli space.
 
 The Poincare series of the whole rank-r degree-n matrix-divisor ind-variety
 splits over the Harder-Narasimhan stratification:
@@ -9,65 +9,85 @@ and each stratum series is the product of the semistable series of its pieces:
 
     P(S_P; t) = prod_j P(Div^(r'_j, d'_j)^ss; t).
 
-Solving for the semistable part gives the recursion implemented by ss_series:
-subtract the proper-strata sum, to the truncation order, from the closed-form
-series of the ind-variety.
+Here codim_P = sum over pairs i < j of (r'_j d'_i - r'_i d'_j) + r'_i r'_j (g - 1),
+pieces in slope order (strata module), and P(Div) does not depend on the
+degree.  Write P_Div(r) = P(Div^(r)) and P_ss(r, d) = P(Div^(r, d)^ss).
 
-The proper-strata sum is not built type by type.  The strata module derives
-the first-piece recursion: a type of total rank R and degree D is a first
-piece (r1, d1) followed by a type of the rest (R - r1, D - d1) with top slope
-below d1/r1, and codim = c1 + codim(rest), where
-c1 = R d1 - r1 D + r1 (R - r1)(g - 1) sees the rest only through its totals.
-The stratum series splits the same way, as the first piece's semistable
-series times the rest's product.  Write P_ss(r, d) = P(Div^(r, d)^ss), and
-let F(R, D, cap) be t^(2 codim) P(S_P) summed over every type P of (R, D)
-whose top slope is below cap, the semistable type (codimension 0) included.
-Each first piece of (R, D) gives the term
+Inversion (D. Zagier, "Elementary aspects of the Verlinde formula and of the
+Harder-Narasimhan-Atiyah-Bott formula", 1996; G. Laumon and M. Rapoport,
+"The Langlands lemma and the Betti numbers of stacks of G-bundles on a
+curve", 1996).  Call a sequence of pieces (n_1, d_1), ..., (n_k, d_k) with
+ranks summing to r and degrees to d admissible when every partial sum
+(N_i, S_i) = (n_1 + ... + n_i, d_1 + ... + d_i) with i < k lies strictly above
+the line of slope d/r: S_i > N_i d / r.  Then
 
-    term(r1, d1) = t^(2 c1) P_ss(r1, d1) F(R - r1, D - d1, d1/r1),
+    P_ss(r, d) = sum over admissible sequences of
+                 (-1)^(k-1) t^(2 codim) prod_i P_Div(n_i),
 
-the proper-strata sum is the sum of all terms, and so
+with codim the formula above, taken over the sequence in its order.  Proof:
+expand each P_Div(n_i) by the stratification of its own piece.  codim is
+bilinear in the pieces, so the codimension of a sequence of blocks plus the
+codimensions of the types in the blocks is the codimension of the
+concatenated sequence of semistable pieces.  So the right side sums
+t^(2 codim) prod P_ss over sequences of semistable pieces cut into blocks,
+where every ascent (a gap where the slope does not fall) must be a cut, as
+the pieces of one type have falling slopes, and every cut must be admissible.
+For a sequence with ascent set A and admissible gaps B, the signs
+(-1)^(cuts) sum to 0 over the cut sets between A and B unless A = B.  A
+single piece is the term P_ss(r, d).  Two or more pieces never have A = B.
+If no gap is admissible, A = B would leave no ascent, and slopes that fall
+throughout put the first vertex strictly above the line.  Otherwise take the
+first vertex j of greatest height above the line: it is admissible, piece j
+has slope above d/r and piece j + 1 at most d/r, so j is no ascent.
 
-    P_ss(R, D)   = P_Div(R) - sum over all first pieces of term(r1, d1),
-    F(R, D, cap) = P_ss(R, D) + sum over first pieces with d1/r1 < cap of term
-                 = P_Div(R) - sum over first pieces with d1/r1 >= cap of term.
+Sum over degrees.  In the partial sums, with S_0 = 0 and S_k = d,
 
-Every F of (R, D) is therefore a prefix cut of one list: the terms of (R, D)
-sorted by slope, descending, and subtracted one at a time from P_Div(R).  To
-order T only first pieces with 2 c1 <= T contribute, and strata.first_pieces
-lists exactly those, with c1 <= T // 2.
+    sum over i < j of (n_j d_i - n_i d_j)
+        = sum over i < k of (n_i + n_(i+1)) S_i  -  d N_(k-1):
 
-Twist shift.  Tensoring with a line bundle of degree k sends each piece (r, d)
-to (r, d + k r).  Every slope moves by k, every cross term r_i d_j - r_j d_i
-and so every codimension is unchanged, and P_ss(r, d) = P_ss(r, d + r).  So
-P_ss depends on the degree only through d mod r, and
+the left side is sum_i d_i (r - N_i) - n_i (d - S_i), with d_i = S_i - S_(i-1),
+in which S_i for 0 < i < k has coefficient (r - N_i) + n_i - (r - N_(i+1)) =
+n_i + n_(i+1), and the rest adds up to -d N_(k-1).
 
-    F(R, D, cap) = F(R, D + k R, cap + k)  for every integer k.
+Each S_i with i < k runs independently over S_i >= floor(N_i d / r) + 1,
+a geometric series, so for 0 <= d < r
 
-The twist class (genus, R, D mod R) is the memo key of P_ss, and F is asked
-of that class with its cap moved by the same twist, in lowest terms.
+    P_ss(r, d) = sum over compositions (n_1, ..., n_k) of r of
+                 (-1)^(k-1) t^e prod_i P_Div(n_i)
+                 prod_(i<k) 1 / (1 - t^(2 (n_i + n_(i+1)))),
+    e = 2 (g - 1) sum_(i<j) n_i n_j
+        + sum_(i<k) 2 (n_i + n_(i+1)) (floor(N_i d / r) + 1)  -  2 d N_(k-1).
 
-Plan and build.  ss_series solves a request in two passes over the twist
-classes it needs.  The plan goes by rank, from the requested rank down.  Every
-class that asks anything of a class of rank R has a larger rank, so when the
-plan reaches R, the largest order asked of each class of rank R, and of each
-of its cuts F, is known.  A class that the memo serves at that order, and of
-which no cut is asked, is done; the memo holds no cuts, so a class of which a
-cut is asked is built even when the memo holds it.  Every class to build
-asks each of its heads P_ss(r1, d1) and rests F(R - r1, D - d1, d1/r1) for
-the order T - 2 c1.  The build goes by rank from 1 up, so the heads and rests
-of a class are ready before it.  It builds each class once, at its planned
-order: one head x rest product per first piece, subtracted from P_Div(R) in
-descending slope order.  On the way it records each planned cut; a term
-whose slope equals the cap is subtracted first, as F keeps only slopes
-strictly below it.  What is left at the end is P_ss, which goes to the memo;
-the terms are dropped.
+It needs no lower-rank P_ss and no enumeration of types.  P_ss(r, d) =
+P_ss(r, d + r) (tensoring by a line bundle of degree 1 moves every slope by
+1 and keeps every codimension), so d is reduced mod r first, and the twist
+class (genus, r, d mod r) is the memo key.
 
-Termination (genus >= 1).  A class has finitely many first pieces (strata
-module), and its heads and rests have the ranks r1 and R - r1, both below R.
-So the planned ranks strictly decrease, and the plan ends at rank 1, where
-there is no first piece: P_ss(1, d) and every F(1, d, cap) are the
-ind-variety series.
+e >= 1 when k >= 2.  The first term is >= 0 for g >= 1.  The middle sum
+telescopes: with n_i = N_i - N_(i-1), sum_(i<k) (n_i + n_(i+1)) N_i =
+sum_(i<k) (N_(i+1) N_i - N_i N_(i-1)) = N_k N_(k-1) = r N_(k-1).  As
+floor(x) + 1 > x, the middle sum exceeds 2 (d / r) r N_(k-1) = 2 d N_(k-1), the
+last term, and both are integers.
+
+The DP.  The factors and the exponent depend on the composition only through
+consecutive pairs: appending a part m' to a composition of N with last part
+m multiplies it by t^(2 (m + m') (floor(N d / r) + 1)) / (1 - t^(2 (m + m'))),
+by P_Div(m') and by t^(2 (g - 1) m' N), and flips its sign; only the last
+term of e, -2 d (r - m) for a final part m, looks at the end.  So ss_series
+keeps one series per state (N, m), the signed sum over compositions of N
+ending in m without that last term, to order L = T + 2 d (r - 1):
+
+* (m, m) starts as P_Div(m);
+* for N = 1 .. r - 1 and each part m' <= r - N, every state (N, m) is
+  shifted and divided by (1 - t^(2 (m + m'))), a running sum in place, the
+  results are added, multiplied once by P_Div(m'), shifted by
+  2 (g - 1) m' N and negated into (N + m', m'), which no other N reaches;
+* P_ss(r, d) is the sum over m of state (r, m) shifted down by 2 d (r - m).
+
+That is at most r (r - 1) / 2 series products.  Every term of state (r, m)
+with k >= 2 carries t^(e + 2 d (r - m)) with e >= 1, and state (r, r) is
+P_Div(r) with no shift, so the shift down drops only zero coefficients, and
+L - 2 d (r - m) >= T known ones remain.
 
 When gcd(r, n) = 1 semistable equals stable and the moduli space N(r, n) of
 stable bundles has Poincare polynomial
@@ -92,9 +112,7 @@ recursion, which makes it an independent witness for the main path.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass, fields
@@ -103,7 +121,7 @@ from typing import Optional, Union
 
 from .exactalg import ExactPolynomial, TruncatedSeries
 from .genfun import _check_genus, div_stable_series
-from .strata import HNType, first_pieces
+from .strata import HNType
 
 TRUNCATION_SLACK = 10
 
@@ -314,115 +332,53 @@ def dim_moduli(genus: int, rank: int) -> int:
 def ss_series(query: ModuliQuery, memo: Optional[MemoStore] = None) -> TruncatedSeries:
     """Poincare series of the semistable locus, to the query's truncation order.
 
-    Closed-form ind-variety series minus the proper-strata sum, planned and
-    built as the module docstring describes.  The series depends on the
-    degree only through its twist class, degree mod rank, which is what it is
-    computed and memoized under.
+    The composition sum of the module docstring, computed by its DP.  The
+    series depends on the degree only through its twist class, degree mod
+    rank, which is what it is computed and memoized under.
     """
     if query.truncation is None:
         raise ValueError("ss_series needs an explicit truncation order")
     if memo is None:
         memo = MemoStore()
-    top = (query.rank, query.degree % query.rank)
-    orders, cuts, served = _plan(query.genus, top, query.truncation, memo)
-    _build(query.genus, orders, cuts, served, memo)
-    return served[top]
+    genus, rank, order = query.genus, query.rank, query.truncation
+    degree = query.degree % rank
+    series = memo.lookup(genus, rank, degree, order)
+    if series is None:
+        series = _composition_sum(genus, rank, degree, order)
+        memo.store(genus, rank, degree, series)
+    return series
 
 
-# A twist class (rank, degree mod rank) at a fixed genus, and a slope
-# (numerator, positive denominator).
-ClassKey = tuple[int, int]
-Slope = tuple[int, int]
-
-
-def _twist_class(rank: int, degree: int, cap: Slope) -> tuple[ClassKey, Slope]:
-    """The twist class of (rank, degree), and cap moved by the same twist."""
-    twist = degree // rank
-    num, den = cap[0] - twist * cap[1], cap[1]
-    common = math.gcd(num, den)
-    return (rank, degree - twist * rank), (num // common, den // common)
-
-
-Orders = dict[ClassKey, int]
-Cuts = dict[ClassKey, dict[Slope, int]]
-Served = dict[ClassKey, TruncatedSeries]
-
-
-def _plan(genus: int, top: ClassKey, order: int, memo: MemoStore) -> tuple[Orders, Cuts, Served]:
-    """The classes to build for top, from the top rank down (module docstring).
-
-    Returns the order each needed class is asked for, the order each cut of a
-    class is asked for, and the classes the memo serves.
-    """
-    orders: Orders = {top: order}
-    cuts: Cuts = {}
-    served: Served = {}
-    for rank in range(top[0], 0, -1):
-        for degree in range(rank):
-            key = (rank, degree)
-            if key not in orders:
+def _composition_sum(genus: int, rank: int, degree: int, order: int) -> TruncatedSeries:
+    """P_ss(rank, degree) for 0 <= degree < rank, by the DP of the module docstring."""
+    top = order + 2 * degree * (rank - 1)
+    div = {part: div_stable_series(genus, part, top) for part in range(1, rank + 1)}
+    # states[total, last]: compositions of total ending in last, as in the docstring.
+    states = {(part, part): list(div[part].coefficients) for part in range(1, rank + 1)}
+    for total in range(1, rank):
+        level = total * degree // rank + 1
+        for part in range(1, rank - total + 1):
+            # Only compositions of total reach (total + part, part).
+            shift = 2 * (genus - 1) * part * total
+            if shift > top:
+                states[total + part, part] = [0] * (top + 1)
                 continue
-            key_order = orders[key]
-            hit = memo.lookup(genus, rank, degree, key_order)
-            if hit is not None and key not in cuts:
-                served[key] = hit
-                continue
-            for c1, r1, d1 in first_pieces(genus, rank, degree, None, key_order // 2):
-                sub = key_order - 2 * c1
-                rest, cap = _twist_class(rank - r1, degree - d1, (d1, r1))
-                for asked in ((r1, d1 % r1), rest):
-                    orders[asked] = max(orders.get(asked, sub), sub)
-                rest_cuts = cuts.setdefault(rest, {})
-                rest_cuts[cap] = max(rest_cuts.get(cap, sub), sub)
-    return orders, cuts, served
-
-
-# Sort key for slopes: larger first, compared by cross-multiplication.
-_DESCENDING = functools.cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
-
-
-def _build(
-    genus: int, orders: Orders, cuts: Cuts, served: Served, memo: MemoStore
-) -> dict[tuple[int, int, int, int], TruncatedSeries]:
-    """Build each planned class not yet served, from rank 1 up, into served.
-
-    Returns every planned cut F, keyed by (rank, degree mod rank, cap).
-    """
-    below: dict[tuple[int, int, int, int], TruncatedSeries] = {}
-    for key in sorted(orders):
-        if key in served:
-            continue
-        rank, degree = key
-        order = orders[key]
-        pieces = sorted(
-            first_pieces(genus, rank, degree, None, order // 2),
-            key=lambda piece: _DESCENDING((piece[2], piece[1])),
-        )
-        acc = list(div_stable_series(genus, rank, order).coefficients)
-
-        def subtract(c1: int, r1: int, d1: int) -> None:
-            shift = 2 * c1
-            rest, cap = _twist_class(rank - r1, degree - d1, (d1, r1))
-            # The head is truncated, so the product has the order - shift + 1
-            # coefficients acc[shift:] holds.
-            term = served[(r1, d1 % r1)].truncate(order - shift) * below[rest + cap]
-            acc[shift:] = map(operator.sub, acc[shift:], term.coefficients)
-
-        done = 0
-        key_cuts = sorted(cuts.get(key, {}).items(), key=lambda cut: _DESCENDING(cut[0]))
-        for (num, den), cut_order in key_cuts:
-            # F keeps only slopes strictly below the cap.
-            while done < len(pieces) and pieces[done][2] * den >= num * pieces[done][1]:
-                subtract(*pieces[done])
-                done += 1
-            below[key + (num, den)] = TruncatedSeries._trusted(
-                tuple(acc[: cut_order + 1]), cut_order
-            )
-        for piece in pieces[done:]:
-            subtract(*piece)
-        served[key] = TruncatedSeries._trusted(tuple(acc), order)
-        memo.store(genus, rank, degree, served[key])
-    return below
+            reach = top - shift
+            acc = [0] * (reach + 1)
+            for last in range(1, total + 1):
+                step = 2 * (last + part)
+                lift = step * level
+                term = ([0] * lift + states[total, last])[: reach + 1]
+                for i in range(lift + step, reach + 1):
+                    term[i] += term[i - step]
+                acc = [a + b for a, b in zip(acc, term)]
+            product = TruncatedSeries._trusted(tuple(acc), reach) * div[part]
+            states[total + part, part] = [0] * shift + [-c for c in product.coefficients]
+    out = [0] * (order + 1)
+    for last in range(1, rank + 1):
+        drop = 2 * degree * (rank - last)
+        out = [a + b for a, b in zip(out, states[rank, last][drop:])]
+    return TruncatedSeries._trusted(tuple(out), order)
 
 
 def stratum_series(
@@ -433,8 +389,10 @@ def stratum_series(
 ) -> TruncatedSeries:
     """Poincare series of one stratum: the product over its pieces' semistable series.
 
-    ss_series does not call this; summed over strata.enumerate_types, it is the
-    type-by-type reference that the first-piece recursion is tested against.
+    ss_series does not call this.  Summed over strata.enumerate_types, it is
+    the Harder-Narasimhan recursion type by type, the reference that the
+    composition sum of ss_series is tested against, an identity independent
+    of the inversion that ss_series computes.
     """
     if memo is None:
         memo = MemoStore()

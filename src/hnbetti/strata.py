@@ -28,8 +28,8 @@ and when D/R is below a cap, the types of (R, D) with top slope below the cap
 and codimension <= C are the semistable type (R, D), of codimension 0, and
 for each first piece with slope below the cap and c1 <= C, that piece
 followed by each type of the rest with top slope below d1/r1 and
-codimension <= C - c1.  first_pieces lists the first pieces; enumerate_types
-and the strata sum of the hnrec module both recurse over it.
+codimension <= C - c1.  first_pieces lists the first pieces, and
+enumerate_types recurses over it.
 
 Range of the first pieces (genus >= 1).  The top slope of a proper type
 exceeds its average slope, so d1/r1 > D/R, and r1 < R.  Then R d1 - r1 D >= 1

@@ -51,7 +51,7 @@ def test_ssseries_prints_the_requested_degree(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["degree"] == 3
     keys = {FILE_NAME.fullmatch(p.name).group(2, 3) for p in tmp_path.iterdir()}
-    assert keys == {("1", "0"), ("2", "1")}
+    assert keys == {("2", "1")}
 
 
 def test_cache_files_get_the_mode_of_a_plain_open(tmp_path):

@@ -1,5 +1,6 @@
 """Semistable recursion, Betti polynomials, rank-2 oracle, memo store."""
 
+import itertools
 import json
 import math
 
@@ -87,6 +88,67 @@ def test_ss_series_nonnegative_coefficients():
     for genus, rank, degree in ((1, 2, 1), (2, 2, 1), (2, 3, -1), (3, 2, 1)):
         series = ss_series(ModuliQuery(genus, rank, degree, 20))
         assert all(c >= 0 for c in series.coefficients)
+
+
+def composition_reference(genus, rank, degree, order):
+    """P_ss(rank, degree) term by term over the 2^(rank-1) compositions of rank.
+
+    The plain form of the sum the hnrec module docstring derives: e from its
+    formula, each 1/(1 - t^a) by inverse_series, no DP and no running sums.
+    """
+    d = degree % rank
+    div = {part: div_stable_series(genus, part, order) for part in range(1, rank + 1)}
+    total = TruncatedSeries((0,) * (order + 1), order)
+    for cuts in itertools.product((False, True), repeat=rank - 1):
+        parts = [1]
+        for cut in cuts:
+            if cut:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        k = len(parts)
+        partial = list(itertools.accumulate(parts))
+        e = 2 * (genus - 1) * sum(a * b for a, b in itertools.combinations(parts, 2))
+        for i in range(k - 1):
+            e += 2 * (parts[i] + parts[i + 1]) * (partial[i] * d // rank + 1)
+        if k > 1:
+            e -= 2 * d * partial[k - 2]
+            assert e >= 1, (genus, rank, degree, parts)
+        if e > order:
+            continue
+        term = TruncatedSeries.one(order - e)
+        for part in parts:
+            term = term * div[part].truncate(order - e)
+        for i in range(k - 1):
+            step = 2 * (parts[i] + parts[i + 1])
+            term = term * ExactPolynomial.from_terms({0: 1, step: -1}).inverse_series(order - e)
+        total = total + (term * (-1) ** (k - 1)).times_t_power(e)
+    return total
+
+
+def test_ss_series_matches_composition_reference():
+    for genus in range(1, 5):
+        for rank in range(1, 8):
+            for order in (0, 1, 17, 36):
+                want = {d: composition_reference(genus, rank, d, order) for d in range(rank)}
+                # One memo per order: the DP runs once per twist class, and
+                # the other degrees of the class are served by the memo.
+                memo = MemoStore()
+                for degree in range(-rank, rank + 1):
+                    got = ss_series(ModuliQuery(genus, rank, degree, order), memo)
+                    assert got.coefficients == want[degree % rank].coefficients, (
+                        genus, rank, degree, order)
+
+
+def test_ss_series_duality():
+    # Dualizing sends degree n to -n, so both twist classes d and rank - d
+    # give one series through different floors and final shifts.
+    for genus in range(1, 4):
+        for rank in range(1, 7):
+            for degree in range(rank + 1):
+                lhs = ss_series(ModuliQuery(genus, rank, degree, 30), MemoStore())
+                rhs = ss_series(ModuliQuery(genus, rank, -degree, 30), MemoStore())
+                assert lhs.coefficients == rhs.coefficients, (genus, rank, degree)
 
 
 def test_stratum_series_examples():
@@ -235,11 +297,11 @@ def test_memo_rejects_mismatched_file_metadata(tmp_path):
 
 
 def test_strata_recursion_matches_type_enumeration():
-    # The proper-strata sum the recursion subtracts must be the sum over
-    # enumerated types.  One memo store serves all degrees, so twist-shifted
-    # keys get exercised.  Both sides take their first pieces from
-    # strata.first_pieces, so this checks the series side;
-    # test_enumerate_matches_brute_force checks the pieces.
+    # The Harder-Narasimhan recursion, type by type: P_Div minus the
+    # composition sum must be the sum over enumerated types, each stratum a
+    # product of semistable series.  One memo store serves all degrees, so
+    # twist-shifted keys get exercised.  The types come from
+    # strata.enumerate_types, which test_enumerate_matches_brute_force checks.
     for genus in (1, 2, 3):
         memo = MemoStore()
         for rank in range(1, 6):
@@ -256,82 +318,31 @@ def test_strata_recursion_matches_type_enumeration():
                     assert got.coefficients == want.coefficients, (genus, rank, degree, order)
 
 
-def test_cuts_are_partial_strata_sums():
-    # Every cut F(R, D, cap) the build records is P_ss(R, D) plus t^(2 codim)
-    # P(S_P) over the types P of (R, D) whose first piece has slope below cap.
-    # Plans of every class of ranks 3-6 ask for cuts of every class of ranks
-    # 2-5; some caps equal the slope of a first piece that counts at the cut's
-    # order, and such types must be left out.
-    for genus, order in ((1, 30), (2, 36), (3, 44)):
-        memo = MemoStore()
-        classes = set()
-        on_boundary = 0
-        for top_rank in range(3, 7):
-            for top_degree in range(top_rank):
-                top = (top_rank, top_degree)
-                orders, cuts, served = hnrec._plan(genus, top, order, MemoStore())
-                below = hnrec._build(genus, orders, cuts, served, MemoStore())
-                assert len(below) == sum(len(c) for c in cuts.values())
-                for (rank, degree, num, den), got in below.items():
-                    cut_order = cuts[(rank, degree)][(num, den)]
-                    assert got.truncation_order == cut_order
-                    classes.add((rank, degree))
-                    want = ss_series(ModuliQuery(genus, rank, degree, cut_order), memo)
-                    for hn_type in enumerate_types(rank, degree, genus, cut_order // 2):
-                        r1, d1 = hn_type.pieces[0]
-                        if d1 * den >= num * r1:
-                            on_boundary += d1 * den == num * r1
-                            continue
-                        shift = 2 * stratum_codim(hn_type, genus)
-                        piece = stratum_series(genus, hn_type, cut_order - shift, memo)
-                        want = want + piece.times_t_power(shift)
-                    assert got.coefficients == want.coefficients, (genus, rank, degree, num, den)
-        assert {(r, n) for r in range(2, 6) for n in range(r)} <= classes, genus
-        assert on_boundary > 0, genus
-
-
 class _RecordingMemo(MemoStore):
     def __init__(self, cache_dir=None):
         super().__init__(cache_dir)
-        self.stored = []
         self.written = []
-
-    def store(self, genus, rank, degree, series):
-        self.stored.append(((rank, degree), series.truncation_order))
-        super().store(genus, rank, degree, series)
 
     def _write_file(self, genus, rank, degree, series):
         self.written.append((rank, degree))
         super()._write_file(genus, rank, degree, series)
 
 
-def test_each_planned_class_is_built_once(monkeypatch):
-    # One ind-variety series per build, one store per class, at its planned order.
+def test_warm_cache_classes_are_loaded_not_rebuilt_or_rewritten(tmp_path, monkeypatch):
+    # A cold run writes the requested class only; a warm run loads it, with
+    # no ind-variety series computed and nothing written.
+    cold = _RecordingMemo(tmp_path)
+    want = ss_series(ModuliQuery(2, 5, 1, 40), cold)
+    assert cold.written == [(5, 1)]
     builds = []
 
     def counted(genus, rank, order):
-        builds.append((rank, order))
+        builds.append(rank)
         return div_stable_series(genus, rank, order)
 
     monkeypatch.setattr(hnrec, "div_stable_series", counted)
-    cases = ((1, 6, 1, 30), (2, 5, 2, 40), (3, 4, 1, 50), (2, 8, 1, 122))
-    for genus, rank, degree, order in cases:
-        orders, _, _ = hnrec._plan(genus, (rank, degree), order, MemoStore())
-        builds.clear()
-        memo = _RecordingMemo()
-        ss_series(ModuliQuery(genus, rank, degree, order), memo)
-        assert len(builds) == len(orders)
-        assert sorted(memo.stored) == sorted(orders.items())
-
-
-def test_warm_cache_classes_are_loaded_not_rebuilt_or_rewritten(tmp_path):
-    # With every class but the requested one on disk, only the requested
-    # class is written again; classes with cuts are rebuilt in memory only.
-    cold = _RecordingMemo(tmp_path)
-    want = ss_series(ModuliQuery(2, 5, 1, 40), cold)
-    assert sorted(cold.written) == sorted(key for key, _ in cold.stored)
-    (tmp_path / "ss_g2_r5_n1_T40.json").unlink()
     warm = _RecordingMemo(tmp_path)
     assert ss_series(ModuliQuery(2, 5, 1, 40), warm).coefficients == want.coefficients
-    assert warm.written == [(5, 1)]
+    assert builds == []
+    assert warm.written == []
     assert not warm.warnings
