@@ -13,12 +13,66 @@ and it is deliberately not transitive; series are unhashable for that reason.
 
 Every product of two coefficient vectors (polynomial by polynomial, series by
 polynomial, series by series) goes through one kernel, _convolve.
+
+_Record is the base of the package's immutable value types: slotted fields,
+set once, compared and hashed by value.  It stands in for frozen dataclasses,
+whose module imports inspect and ast and costs every process more start-up
+time than the arithmetic of a small request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
+
+
+class _Record:
+    """Immutable record: its fields are the subclass's __slots__, in order.
+
+    A subclass's __init__ validates its arguments and passes the field values
+    to _fill; _trusted builds a record from values already known to be valid.
+    Records compare equal when their classes and field values are equal, and
+    hash their field values.  Assigning or deleting a field raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Build from valid field values, skipping validation."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle would restore the slots by assignment, which raises.
+        return type(self), self._values()
 
 
 class InexactDivisionError(ValueError):
@@ -81,21 +135,16 @@ def _convolve(a: Sequence[int], b: Sequence[int], order: int) -> tuple[int, ...]
     return tuple(out) + (0,) * (order + 1 - count)
 
 
-@dataclass(frozen=True)
-class ExactPolynomial:
-    """Univariate polynomial in t with exact integer coefficients."""
+class ExactPolynomial(_Record):
+    """Univariate polynomial in t with exact integer coefficients.
 
-    coefficients: tuple[int, ...]
+    _trusted takes a tuple of ints with a nonzero last entry.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", _trimmed(self.coefficients))
+    __slots__ = ("coefficients",)
 
-    @classmethod
-    def _trusted(cls, coefficients: tuple[int, ...]) -> "ExactPolynomial":
-        """Wrap a tuple of ints with a nonzero last entry, skipping validation."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coefficients", coefficients)
-        return poly
+    def __init__(self, coefficients: Iterable[int]) -> None:
+        self._fill(_trimmed(coefficients))
 
     @classmethod
     def zero(cls) -> "ExactPolynomial":
@@ -263,30 +312,23 @@ class ExactPolynomial:
         return TruncatedSeries._trusted(tuple(out), order)
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
-    """Integer power series known modulo t^(truncation_order + 1)."""
+class TruncatedSeries(_Record):
+    """Integer power series known modulo t^(truncation_order + 1).
 
-    coefficients: tuple[int, ...]
-    truncation_order: int
+    _trusted takes a tuple of exactly truncation_order + 1 ints and the order.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
-        if self.truncation_order < 0:
+    __slots__ = ("coefficients", "truncation_order")
+
+    def __init__(self, coefficients: Iterable[int], truncation_order: int) -> None:
+        coefficients = tuple(int(c) for c in coefficients)
+        if truncation_order < 0:
             raise ValueError("truncation order must be nonnegative")
-        if len(self.coefficients) != self.truncation_order + 1:
+        if len(coefficients) != truncation_order + 1:
             raise ValueError(
-                f"expected {self.truncation_order + 1} coefficients, "
-                f"got {len(self.coefficients)}"
+                f"expected {truncation_order + 1} coefficients, got {len(coefficients)}"
             )
-
-    @classmethod
-    def _trusted(cls, coefficients: tuple[int, ...], order: int) -> "TruncatedSeries":
-        """Wrap a tuple of exactly order + 1 ints, skipping validation."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "coefficients", coefficients)
-        object.__setattr__(series, "truncation_order", order)
-        return series
+        self._fill(coefficients, truncation_order)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":

@@ -25,8 +25,11 @@ is the only curve invariant the formulas use, and it is passed as a plain int.
   denominators (1 - u t^(2j)) and (1 - u t^(2j+2)); the only one with
   t-exponent 0 is (1 - u) at j = 0, the simple pole.  Minus the residue drops
   that factor and sets u = 1 in the rest.  residue_series keeps this factored
-  form and never multiplies the closed-form product out, so it is an
-  independent route to the same numbers.
+  form and never multiplies the closed-form product out.
+
+* div_stable_ranks builds P(Div^(1)), ..., P(Div^(r)) one factor of E(t, 1)
+  at a time, by shifted adds and running sums, where residue_series multiplies
+  and inverts series: two routes to the same numbers that share no arithmetic.
 
 All of these hold for every genus g >= 0; the Harder-Narasimhan recursion
 built on them needs g >= 1 (see the strata module).  _check_genus is the one
@@ -113,25 +116,42 @@ def div_finite_poly(
     return result
 
 
-def div_stable_series(genus: int, rank: int, order: int) -> TruncatedSeries:
-    """Poincare series of the rank-r matrix-divisor ind-variety, to the given order.
+def div_stable_ranks(genus: int, rank: int, order: int) -> list[TruncatedSeries]:
+    """P(Div^(1); t), ..., P(Div^(rank); t), each to the given order.
 
-    Independent of the degree n.  Computed from the closed product formula by
-    one series inversion of the multiplied-out denominator.
+    The quotient of consecutive closed forms gives
+        P(Div^(1)) = (1 + t)^(2g) / (1 - t^2),
+        P(Div^(m+1)) = P(Div^(m)) (1 + t^(2m+1))^(2g) / ((1 - t^(2m)) (1 - t^(2m+2))),
+    which is factor j = m of E(t, 1) in the residue form.  Multiplying by
+    (1 + t^a) is one shifted add, dividing by (1 - t^a) one running sum, so no
+    series is multiplied or inverted.
     """
     _check_genus(genus, 0)
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    g2 = 2 * genus
-    numerator = ExactPolynomial.one()
-    for j in range(1, rank + 1):
-        numerator = numerator * _one_plus_tpow(2 * j - 1) ** g2
-    denominator = _one_minus_tpow(2 * rank)
-    for j in range(1, rank):
-        denominator = denominator * _one_minus_tpow(2 * j) ** 2
-    return denominator.inverse_series(order) * numerator
+    coeffs = [1] + [0] * order
+    out = []
+    for j in range(rank):
+        odd = 2 * j + 1
+        for _ in range(2 * genus):
+            coeffs[odd:] = [a + b for a, b in zip(coeffs[odd:], coeffs)]
+        for exp in (2 * j, 2 * j + 2):
+            if exp == 0:
+                continue  # the removed pole
+            for i in range(exp, order + 1):
+                coeffs[i] += coeffs[i - exp]
+        out.append(TruncatedSeries._trusted(tuple(coeffs), order))
+    return out
+
+
+def div_stable_series(genus: int, rank: int, order: int) -> TruncatedSeries:
+    """Poincare series of the rank-r matrix-divisor ind-variety, to the given order.
+
+    Independent of the degree n.  The last series of div_stable_ranks.
+    """
+    return div_stable_ranks(genus, rank, order)[-1]
 
 
 def residue_series(genus: int, rank: int, order: int) -> TruncatedSeries:

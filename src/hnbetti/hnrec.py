@@ -115,12 +115,11 @@ import contextlib
 import math
 import os
 import threading
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
-from .exactalg import ExactPolynomial, TruncatedSeries
-from .genfun import _check_genus, div_stable_series
+from .exactalg import ExactPolynomial, TruncatedSeries, _Record
+from .genfun import _check_genus, div_stable_ranks
 from .strata import HNType
 
 TRUNCATION_SLACK = 10
@@ -134,48 +133,57 @@ class StructuralCheckError(RuntimeError):
         self.diagnostic = dict(diagnostic or {})
 
 
-@dataclass(frozen=True)
-class ModuliQuery:
+class ModuliQuery(_Record):
     """Parameters of one semistable-series or Betti request."""
 
-    genus: int
-    rank: int
-    degree: int
-    truncation: Optional[int] = None
+    __slots__ = ("genus", "rank", "degree", "truncation")
 
-    def __post_init__(self) -> None:
-        _check_genus(self.genus, 1)
-        if self.rank < 1:
-            raise ValueError(f"rank must be at least 1, got {self.rank}")
-        if self.truncation is not None and self.truncation < 0:
-            raise ValueError(f"truncation order must be nonnegative, got {self.truncation}")
+    def __init__(
+        self, genus: int, rank: int, degree: int, truncation: Optional[int] = None
+    ) -> None:
+        _check_genus(genus, 1)
+        if rank < 1:
+            raise ValueError(f"rank must be at least 1, got {rank}")
+        if truncation is not None and truncation < 0:
+            raise ValueError(f"truncation order must be nonnegative, got {truncation}")
+        self._fill(genus, rank, degree, truncation)
 
 
-@dataclass(frozen=True)
-class BettiChecks:
+class BettiChecks(_Record):
     """Outcome of the four structural checks on a Betti polynomial."""
 
-    tail_vanishes: bool
-    degree_matches_2dim: bool
-    palindromic: bool
-    nonnegative: bool
+    __slots__ = ("tail_vanishes", "degree_matches_2dim", "palindromic", "nonnegative")
+
+    def __init__(
+        self,
+        tail_vanishes: bool,
+        degree_matches_2dim: bool,
+        palindromic: bool,
+        nonnegative: bool,
+    ) -> None:
+        self._fill(tail_vanishes, degree_matches_2dim, palindromic, nonnegative)
 
     def failed(self) -> list[str]:
         """Names of the failed checks, in field order."""
-        return [f.name for f in fields(self) if not getattr(self, f.name)]
+        return [name for name in self.__slots__ if not getattr(self, name)]
 
     def all_pass(self) -> bool:
         return not self.failed()
 
 
-@dataclass(frozen=True)
-class BettiReport:
+class BettiReport(_Record):
     """A verified Betti polynomial with its context.  checks is None when skipped."""
 
-    polynomial: ExactPolynomial
-    moduli_dimension: int
-    truncation_used: int
-    checks: Optional[BettiChecks]
+    __slots__ = ("polynomial", "moduli_dimension", "truncation_used", "checks")
+
+    def __init__(
+        self,
+        polynomial: ExactPolynomial,
+        moduli_dimension: int,
+        truncation_used: int,
+        checks: Optional[BettiChecks],
+    ) -> None:
+        self._fill(polynomial, moduli_dimension, truncation_used, checks)
 
 
 class MemoStore:
@@ -352,7 +360,7 @@ def ss_series(query: ModuliQuery, memo: Optional[MemoStore] = None) -> Truncated
 def _composition_sum(genus: int, rank: int, degree: int, order: int) -> TruncatedSeries:
     """P_ss(rank, degree) for 0 <= degree < rank, by the DP of the module docstring."""
     top = order + 2 * degree * (rank - 1)
-    div = {part: div_stable_series(genus, part, top) for part in range(1, rank + 1)}
+    div = dict(enumerate(div_stable_ranks(genus, rank, top), start=1))
     # states[total, last]: compositions of total ending in last, as in the docstring.
     states = {(part, part): list(div[part].coefficients) for part in range(1, rank + 1)}
     for total in range(1, rank):

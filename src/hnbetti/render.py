@@ -13,11 +13,10 @@ to the kind; type lists additionally carry a "types" key.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from ._version import __version__
-from .exactalg import ExactPolynomial, TruncatedSeries
+from .exactalg import ExactPolynomial, TruncatedSeries, _Record
 from .hnrec import BettiChecks, BettiReport
 from .strata import HNType, stratum_codim
 
@@ -31,29 +30,30 @@ _PAYLOAD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class OutputDocument:
+class OutputDocument(_Record):
     """One renderable result plus the request metadata it answers."""
 
-    kind: str
-    payload: object
-    genus: Optional[int] = None
-    rank: Optional[int] = None
-    degree: Optional[int] = None
-    version: str = __version__
+    __slots__ = ("kind", "payload", "genus", "rank", "degree", "version")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown document kind {self.kind!r}")
-        if not isinstance(self.payload, _PAYLOAD_TYPES[self.kind]):
-            raise ValueError(
-                f"kind {self.kind!r} cannot carry a {type(self.payload).__name__}"
-            )
-        if self.kind == "type-list":
-            if self.genus is None:
+    def __init__(
+        self,
+        kind: str,
+        payload: object,
+        genus: Optional[int] = None,
+        rank: Optional[int] = None,
+        degree: Optional[int] = None,
+        version: str = __version__,
+    ) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown document kind {kind!r}")
+        if not isinstance(payload, _PAYLOAD_TYPES[kind]):
+            raise ValueError(f"kind {kind!r} cannot carry a {type(payload).__name__}")
+        if kind == "type-list":
+            if genus is None:
                 raise ValueError("type lists need genus metadata for codimensions")
-            if not all(isinstance(t, HNType) for t in self.payload):
+            if not all(isinstance(t, HNType) for t in payload):
                 raise ValueError("type-list payload must contain HNType entries")
+        self._fill(kind, payload, genus, rank, degree, version)
 
 
 def _term_string(coeffs: Sequence[int], braces: bool) -> str:
@@ -202,7 +202,8 @@ def render_json(doc: OutputDocument) -> str:
         obj["truncation"] = report.truncation_used
         obj["dimension"] = report.moduli_dimension
         if report.checks is not None:
-            obj["checks"] = asdict(report.checks)
+            checks = report.checks
+            obj["checks"] = {name: getattr(checks, name) for name in checks.__slots__}
     else:
         obj["types"] = [
             {

@@ -47,9 +47,9 @@ the budget no longer shrinks down the recursion; genus 0 is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from .exactalg import _Record
 from .genfun import _check_genus
 
 
@@ -61,34 +61,30 @@ def _as_pairs(items: Iterable) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HNType:
-    """A Harder-Narasimhan type: pieces (rank, degree) with strictly dropping slopes."""
+class HNType(_Record):
+    """A Harder-Narasimhan type: pieces (rank, degree) with strictly dropping slopes.
 
-    pieces: tuple[tuple[int, int], ...]
+    _trusted takes a tuple of int pairs already known to form a valid type.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pieces", _as_pairs(self.pieces))
-        if not self.pieces:
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: Iterable) -> None:
+        pieces = _as_pairs(pieces)
+        if not pieces:
             raise ValueError("a type needs at least one piece")
-        for i, (r, _) in enumerate(self.pieces):
+        for i, (r, _) in enumerate(pieces):
             if r < 1:
                 raise ValueError(f"piece {i} has nonpositive rank {r}")
-        for i in range(len(self.pieces) - 1):
-            r_hi, d_hi = self.pieces[i]
-            r_lo, d_lo = self.pieces[i + 1]
+        for i in range(len(pieces) - 1):
+            r_hi, d_hi = pieces[i]
+            r_lo, d_lo = pieces[i + 1]
             # d_hi / r_hi > d_lo / r_lo, by cross-multiplication.
             if d_hi * r_lo <= d_lo * r_hi:
                 raise ValueError(
                     f"slopes must strictly decrease: violated at piece {i + 1}"
                 )
-
-    @classmethod
-    def _trusted(cls, pieces: tuple[tuple[int, int], ...]) -> "HNType":
-        """Wrap pieces already known to form a valid type, skipping validation."""
-        hn_type = object.__new__(cls)
-        object.__setattr__(hn_type, "pieces", pieces)
-        return hn_type
+        self._fill(pieces)
 
     @property
     def length(self) -> int:
@@ -112,32 +108,32 @@ class HNType:
         return ShatzPolygon(tuple(vertices))
 
 
-@dataclass(frozen=True)
-class ShatzPolygon:
+class ShatzPolygon(_Record):
     """Vertex form of a type: partial-sum points from (0, 0), strictly convex."""
 
-    vertices: tuple[tuple[int, int], ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", _as_pairs(self.vertices))
-        if len(self.vertices) < 2:
+    def __init__(self, vertices: Iterable) -> None:
+        vertices = _as_pairs(vertices)
+        if len(vertices) < 2:
             raise ValueError("a polygon needs at least two vertices")
-        if self.vertices[0] != (0, 0):
-            raise ValueError(f"polygon must start at (0, 0), got {self.vertices[0]}")
-        for i in range(len(self.vertices) - 1):
-            if self.vertices[i + 1][0] <= self.vertices[i][0]:
+        if vertices[0] != (0, 0):
+            raise ValueError(f"polygon must start at (0, 0), got {vertices[0]}")
+        for i in range(len(vertices) - 1):
+            if vertices[i + 1][0] <= vertices[i][0]:
                 raise ValueError(
                     f"vertex ranks must strictly increase: violated at vertex {i + 1}"
                 )
-        for i in range(len(self.vertices) - 2):
-            r0, d0 = self.vertices[i]
-            r1, d1 = self.vertices[i + 1]
-            r2, d2 = self.vertices[i + 2]
+        for i in range(len(vertices) - 2):
+            r0, d0 = vertices[i]
+            r1, d1 = vertices[i + 1]
+            r2, d2 = vertices[i + 2]
             # Edge slopes must strictly decrease (strict convexity from above).
             if (d1 - d0) * (r2 - r1) <= (d2 - d1) * (r1 - r0):
                 raise ValueError(
                     f"polygon must be strictly convex: violated at vertex {i + 1}"
                 )
+        self._fill(vertices)
 
     def to_type(self) -> HNType:
         pieces = []
@@ -149,15 +145,18 @@ class ShatzPolygon:
 
 
 def stratum_codim(hn_type: HNType, genus: int) -> int:
-    """Codimension of the stratum with the given type, over a genus-g curve."""
+    """Codimension of the stratum with the given type, over a genus-g curve.
+
+    The pairs of piece (r, d) with the earlier pieces add up to
+    r D - d R + (g - 1) r R, with (R, D) the sum of the earlier pieces, so one
+    pass over running sums gives the sum over pairs.
+    """
     _check_genus(genus, 1)
-    pieces = hn_type.pieces
-    total = 0
-    for i in range(len(pieces)):
-        r_i, d_i = pieces[i]
-        for j in range(i):
-            r_j, d_j = pieces[j]
-            total += (r_i * d_j - r_j * d_i) + r_i * r_j * (genus - 1)
+    total = rank_sum = degree_sum = 0
+    for r, d in hn_type.pieces:
+        total += r * degree_sum - d * rank_sum + (genus - 1) * r * rank_sum
+        rank_sum += r
+        degree_sum += d
     return total
 
 

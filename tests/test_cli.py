@@ -1,9 +1,14 @@
 """CLI contract: subcommands, formats, exit codes, cache behaviour."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hnbetti
 from hnbetti.cli import run
 from hnbetti.render import parse_json
 
@@ -228,3 +233,12 @@ def test_exit_2_on_bad_genus(capsys, argv):
     assert code == 2
     assert out == ""
     assert "genus" in err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Both cost every process start-up time; inspect comes with dataclasses.
+    env = dict(os.environ, PYTHONPATH=str(Path(hnbetti.__file__).resolve().parent.parent))
+    code = "import sys, hnbetti.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"

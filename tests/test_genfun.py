@@ -7,6 +7,7 @@ import pytest
 from hnbetti.exactalg import ExactPolynomial
 from hnbetti.genfun import (
     div_finite_poly,
+    div_stable_ranks,
     div_stable_series,
     residue_series,
     sym_product_poly,
@@ -92,6 +93,33 @@ def test_div_stable_examples():
     assert div_stable_series(2, 2, 3).coefficients == (1, 4, 8, 16)
     for rank in (1, 2, 3):
         assert div_stable_series(2, rank, 0).coefficients == (1,)
+
+
+def _closed_form(genus, rank, order):
+    """The product formula multiplied out, times one inverted denominator."""
+    numerator = ExactPolynomial.one()
+    for j in range(1, rank + 1):
+        numerator = numerator * ExactPolynomial.from_terms({0: 1, 2 * j - 1: 1}) ** (2 * genus)
+    denominator = ExactPolynomial.from_terms({0: 1, 2 * rank: -1})
+    for j in range(1, rank):
+        denominator = denominator * ExactPolynomial.from_terms({0: 1, 2 * j: -1}) ** 2
+    return denominator.inverse_series(order) * numerator
+
+
+def test_div_stable_ratio_recurrence_matches_closed_form():
+    for genus in range(5):
+        for order in (0, 1, 5, 40, 97):
+            ranks = div_stable_ranks(genus, 8, order)
+            assert len(ranks) == 8
+            for rank, series in enumerate(ranks, start=1):
+                want = _closed_form(genus, rank, order).coefficients
+                assert series.truncation_order == order
+                assert series.coefficients == want, (genus, rank, order)
+                assert div_stable_series(genus, rank, order).coefficients == want
+    with pytest.raises(ValueError):
+        div_stable_ranks(2, 0, 5)
+    with pytest.raises(ValueError):
+        div_stable_ranks(2, 2, -1)
 
 
 def test_div_finite_stabilizes_to_stable_series():

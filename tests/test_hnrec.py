@@ -8,7 +8,7 @@ import pytest
 
 from hnbetti import hnrec
 from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
-from hnbetti.genfun import div_stable_series
+from hnbetti.genfun import div_stable_ranks, div_stable_series
 from hnbetti.hnrec import (
     MemoStore,
     ModuliQuery,
@@ -338,9 +338,9 @@ def test_warm_cache_classes_are_loaded_not_rebuilt_or_rewritten(tmp_path, monkey
 
     def counted(genus, rank, order):
         builds.append(rank)
-        return div_stable_series(genus, rank, order)
+        return div_stable_ranks(genus, rank, order)
 
-    monkeypatch.setattr(hnrec, "div_stable_series", counted)
+    monkeypatch.setattr(hnrec, "div_stable_ranks", counted)
     warm = _RecordingMemo(tmp_path)
     assert ss_series(ModuliQuery(2, 5, 1, 40), warm).coefficients == want.coefficients
     assert builds == []

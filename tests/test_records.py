@@ -1,0 +1,86 @@
+"""The immutable value types: construction, equality, hashing, immutability."""
+
+import copy
+import json
+import pickle
+
+import pytest
+
+from hnbetti import __version__
+from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
+from hnbetti.hnrec import BettiChecks, BettiReport, MemoStore, ModuliQuery
+from hnbetti.render import OutputDocument, parse_json, render_json
+from hnbetti.strata import HNType, ShatzPolygon
+
+CHECKS = {"tail_vanishes": True, "degree_matches_2dim": True, "palindromic": True,
+          "nonnegative": False}
+REPORT = {"polynomial": ExactPolynomial((1, 2, 1)), "moduli_dimension": 1,
+          "truncation_used": 12, "checks": BettiChecks(**CHECKS)}
+
+# class -> the value of every field, in field order
+RECORDS = {
+    ExactPolynomial: {"coefficients": (1, 0, 2)},
+    TruncatedSeries: {"coefficients": (1, 4, 8), "truncation_order": 2},
+    HNType: {"pieces": ((1, 1), (1, 0))},
+    ShatzPolygon: {"vertices": ((0, 0), (1, 1), (2, 1))},
+    ModuliQuery: {"genus": 2, "rank": 3, "degree": 1, "truncation": 30},
+    BettiChecks: CHECKS,
+    BettiReport: REPORT,
+    OutputDocument: {"kind": "betti-report", "payload": BettiReport(**REPORT), "genus": 1,
+                     "rank": 2, "degree": 1, "version": __version__},
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    values = RECORDS[cls]
+    record = cls(*values.values())
+    assert record == cls(**values)
+    assert tuple(getattr(record, name) for name in values) == tuple(values.values())
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in values.items()) + ")"
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert record != tuple(values.values())
+    if cls is TruncatedSeries:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(**values))
+        assert len({record, cls(**values)}) == 1
+
+    first = next(iter(values))
+    with pytest.raises(AttributeError):
+        setattr(record, first, values[first])
+    with pytest.raises(AttributeError):
+        delattr(record, first)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(TypeError):
+        cls(**values, extra=1)
+    with pytest.raises(TypeError):
+        cls(**{name: value for name, value in values.items() if name != first})
+
+
+def test_record_defaults():
+    assert ModuliQuery(2, 3, 1).truncation is None
+    doc = OutputDocument("polynomial", ExactPolynomial((1,)))
+    assert (doc.genus, doc.rank, doc.degree, doc.version) == (None, None, None, __version__)
+
+
+def test_unequal_records():
+    assert ModuliQuery(2, 3, 1) != ModuliQuery(2, 3, 1, 10)
+    assert HNType(((1, 1), (1, 0))) != HNType(((1, 2), (1, -1)))
+    assert BettiChecks(True, True, True, True) != BettiChecks(True, True, True, False)
+
+
+def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
+    doc = OutputDocument("betti-report", BettiReport(**REPORT), genus=2, rank=2, degree=1)
+    data = json.loads(render_json(doc))
+    data["checks"]["extra"] = True
+    with pytest.raises(TypeError):
+        parse_json(json.dumps(data))
+    (tmp_path / "ss_g2_r2_n1_T8.json").write_text(json.dumps(data), encoding="utf-8")
+    memo = MemoStore(tmp_path)
+    assert memo.lookup(2, 2, 1, 8) is None
+    assert len(memo.warnings) == 1 and "ss_g2_r2_n1_T8.json" in memo.warnings[0]

@@ -143,6 +143,22 @@ def test_codim_agrees_with_slope_form():
                 assert stratum_codim(t, genus) >= len(pieces) - 1
 
 
+def test_codim_running_sums_match_the_sum_over_pairs():
+    for genus in (1, 2, 3):
+        for rank in range(1, 8):
+            for degree in range(-rank, rank + 1):
+                for t in enumerate_types(rank, degree, genus, 20):
+                    pieces = t.pieces
+                    pairwise = sum(
+                        pieces[i][0] * pieces[j][1]
+                        - pieces[j][0] * pieces[i][1]
+                        + pieces[i][0] * pieces[j][0] * (genus - 1)
+                        for i in range(len(pieces))
+                        for j in range(i)
+                    )
+                    assert stratum_codim(t, genus) == pairwise, (genus, pieces)
+
+
 def test_enumerate_examples():
     assert enumerate_types(1, 5, 2, 40) == []
     two = enumerate_types(2, 1, 2, 4)
