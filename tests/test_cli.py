@@ -217,6 +217,17 @@ def test_help_and_version_exit_zero(capsys):
 
 
 @pytest.mark.parametrize(
+    "command", ["sympoly", "divpoly", "divseries", "polygons", "ssseries", "betti"]
+)
+def test_subcommand_help_exits_zero(capsys, command):
+    # argparse formats a subcommand's help strings only when they are shown.
+    code, out, err = _run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: hnbetti {command} [-h] --genus GENUS ")
+    assert err == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("sympoly", "--genus", "-1", "--points", "1"),

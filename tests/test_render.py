@@ -49,7 +49,79 @@ def _docs():
             rank=2,
             degree=1,
         ),
+        OutputDocument("series", TruncatedSeries((0, 0, 0, 0), 3), genus=1, rank=2),
     ]
+
+
+# render(doc, fmt) for each entry of _docs(), in order, byte for byte.
+PINNED = {
+    "text": [
+        "1 + 4t + t^2  (genus 2, deg 1)",
+        "0  (genus 2, deg 0)",
+        "1 + 4t + 8t^2 + 16t^3 + O(t^4)  (genus 2, rank 2, deg 1)",
+        "codim 2: (1;1)(1;0)\ncodim 4: (1;2)(1;-1)\n(2 types; genus 2, rank 2, deg 1)",
+        "(0 types; genus 2, rank 1, deg 0)",
+        "1 + 4t + 7t^2 + 12t^3 + 24t^4 + 32t^5 + 24t^6 + 12t^7 + 7t^8 + 4t^9 + t^10"
+        "  (dim 5, checks: all pass)",
+        "1 + 2t + t^2  (dim 1, checks: skipped)",
+        "O(t^4)  (genus 1, rank 2)",
+    ],
+    "latex": [
+        "1 + 4t + t^{2}",
+        "0",
+        "1 + 4t + 8t^{2} + 16t^{3} + O(t^{4})",
+        "\\left[(1;1)(1;0)\\right]_{2},\\ \\left[(1;2)(1;-1)\\right]_{4}",
+        "\\varnothing",
+        "1 + 4t + 7t^{2} + 12t^{3} + 24t^{4} + 32t^{5} + 24t^{6} + 12t^{7} + 7t^{8}"
+        " + 4t^{9} + t^{10}",
+        "1 + 2t + t^{2}",
+        "O(t^{4})",
+    ],
+    "csv": [
+        "0,1\n1,4\n2,1",
+        "0,0",
+        "0,1\n1,4\n2,8\n3,16",
+        "2,(1;1)(1;0)\n4,(1;2)(1;-1)",
+        "",
+        "0,1\n1,4\n2,7\n3,12\n4,24\n5,32\n6,24\n7,12\n8,7\n9,4\n10,1",
+        "0,1\n1,2\n2,1",
+        "0,0\n1,0\n2,0\n3,0",
+    ],
+    "json": [
+        '{"kind": "polynomial", "genus": 2, "rank": null, "degree": 1, "variable": "t", '
+        '"coefficients": ["1", "4", "1"], "truncation": null, "dimension": null, '
+        '"checks": null, "version": "0.1.0"}',
+        '{"kind": "polynomial", "genus": 2, "rank": null, "degree": 0, "variable": "t", '
+        '"coefficients": ["0"], "truncation": null, "dimension": null, "checks": null, '
+        '"version": "0.1.0"}',
+        '{"kind": "series", "genus": 2, "rank": 2, "degree": 1, "variable": "t", '
+        '"coefficients": ["1", "4", "8", "16"], "truncation": 3, "dimension": null, '
+        '"checks": null, "version": "0.1.0"}',
+        '{"kind": "type-list", "genus": 2, "rank": 2, "degree": 1, "variable": "t", '
+        '"coefficients": null, "truncation": null, "dimension": null, "checks": null, '
+        '"version": "0.1.0", "types": [{"codim": 2, "pieces": [[1, 1], [1, 0]]}, '
+        '{"codim": 4, "pieces": [[1, 2], [1, -1]]}]}',
+        '{"kind": "type-list", "genus": 2, "rank": 1, "degree": 0, "variable": "t", '
+        '"coefficients": null, "truncation": null, "dimension": null, "checks": null, '
+        '"version": "0.1.0", "types": []}',
+        '{"kind": "betti-report", "genus": 2, "rank": 2, "degree": 1, "variable": "t", '
+        '"coefficients": ["1", "4", "7", "12", "24", "32", "24", "12", "7", "4", "1"], '
+        '"truncation": 20, "dimension": 5, "checks": {"tail_vanishes": true, '
+        '"degree_matches_2dim": true, "palindromic": true, "nonnegative": true}, '
+        '"version": "0.1.0"}',
+        '{"kind": "betti-report", "genus": 1, "rank": 2, "degree": 1, "variable": "t", '
+        '"coefficients": ["1", "2", "1"], "truncation": 12, "dimension": 1, '
+        '"checks": null, "version": "0.1.0"}',
+        '{"kind": "series", "genus": 1, "rank": 2, "degree": null, "variable": "t", '
+        '"coefficients": ["0", "0", "0", "0"], "truncation": 3, "dimension": null, '
+        '"checks": null, "version": "0.1.0"}',
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", PINNED)
+def test_every_kind_in_every_format(fmt):
+    assert [render(doc, fmt) for doc in _docs()] == PINNED[fmt]
 
 
 def test_document_validation():
