@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Six subcommands over the library, sharing --format/--cache-dir/--strict-cache:
+Six subcommands over the library.  build_parser declares each with one call
+of a helper that adds its integer flags, required ones first, then adds the
+shared --format/--cache-dir/--strict-cache to all six:
 
 * sympoly    Poincare polynomial of a symmetric product of the curve
 * divpoly    Poincare polynomial of a bounded matrix-divisor variety
@@ -14,6 +16,9 @@ degree, genus 0 where the recursion needs genus >= 1, negative truncation);
 3 internal structural check failure, with a diagnostic dump on stderr;
 4 cache I/O warnings escalated by --strict-cache (the result is still printed).
 Output for a given command line is byte-deterministic, warm or cold cache.
+
+_execute builds one OutputDocument per command; every command but sympoly
+(genus, points) and divseries (genus, rank) carries (genus, rank, deg).
 """
 
 from __future__ import annotations
@@ -35,6 +40,14 @@ EXIT_CHECK_FAILED = 3
 EXIT_CACHE = 4
 
 
+# Help strings of the required integer flags that have one.
+_INT_HELP = {
+    "points": "symmetric power m",
+    "twist": "degree of the bounding divisor D",
+    "truncate": "truncation order",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hnbetti",
@@ -45,7 +58,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(
+        name: str, text: str, *required: str, **optional: str
+    ) -> argparse.ArgumentParser:
+        """A subcommand taking the required integer flags, then the optional ones."""
+        p = sub.add_parser(name, help=text)
+        for flag in required:
+            p.add_argument(f"--{flag}", type=int, required=True, help=_INT_HELP.get(flag))
+        for flag, flag_help in optional.items():
+            p.add_argument(f"--{flag}", type=int, help=flag_help)
+        return p
+
+    command(
+        "sympoly", "Poincare polynomial of a symmetric product", "genus", "points"
+    )
+    command(
+        "divpoly",
+        "Poincare polynomial of a bounded matrix-divisor variety",
+        "genus", "rank", "deg", "twist",
+    )
+    command(
+        "divseries",
+        "Poincare series of the matrix-divisor ind-variety",
+        "genus", "rank", "truncate",
+        deg="accepted and ignored: the series does not depend on the degree",
+    )
+    command(
+        "polygons",
+        "proper Harder-Narasimhan types within a codimension budget",
+        "genus", "rank", "deg", "max-codim",
+    )
+    command(
+        "ssseries",
+        "Poincare series of the semistable locus",
+        "genus", "rank", "deg", "truncate",
+    )
+    p = command(
+        "betti",
+        "checked Betti polynomial of the stable-bundle moduli space",
+        "genus", "rank", "deg",
+        truncate="truncation order (default: 2*dim + 10; must be >= 2*dim)",
+    )
+    p.add_argument(
+        "--skip-checks",
+        action="store_true",
+        help="emit the polynomial without structural verification; requires --unsafe",
+    )
+    p.add_argument(
+        "--unsafe",
+        action="store_true",
+        help="confirm that skipping verification is intended",
+    )
+
+    for p in sub.choices.values():
         p.add_argument(
             "--format",
             choices=("text", "json", "latex", "csv"),
@@ -64,129 +129,38 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="treat cache I/O warnings as an error (exit 4)",
         )
-
-    p = sub.add_parser("sympoly", help="Poincare polynomial of a symmetric product")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--points", type=int, required=True, help="symmetric power m")
-    common(p)
-
-    p = sub.add_parser(
-        "divpoly", help="Poincare polynomial of a bounded matrix-divisor variety"
-    )
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument(
-        "--twist", type=int, required=True, help="degree of the bounding divisor D"
-    )
-    common(p)
-
-    p = sub.add_parser(
-        "divseries", help="Poincare series of the matrix-divisor ind-variety"
-    )
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--truncate", type=int, required=True, help="truncation order")
-    p.add_argument(
-        "--deg",
-        type=int,
-        default=None,
-        help="accepted and ignored: the series does not depend on the degree",
-    )
-    common(p)
-
-    p = sub.add_parser(
-        "polygons", help="proper Harder-Narasimhan types within a codimension budget"
-    )
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--max-codim", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("ssseries", help="Poincare series of the semistable locus")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--truncate", type=int, required=True, help="truncation order")
-    common(p)
-
-    p = sub.add_parser(
-        "betti", help="checked Betti polynomial of the stable-bundle moduli space"
-    )
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument(
-        "--truncate",
-        type=int,
-        default=None,
-        help="truncation order (default: 2*dim + 10; must be >= 2*dim)",
-    )
-    p.add_argument(
-        "--skip-checks",
-        action="store_true",
-        help="emit the polynomial without structural verification; requires --unsafe",
-    )
-    p.add_argument(
-        "--unsafe",
-        action="store_true",
-        help="confirm that skipping verification is intended",
-    )
-    common(p)
-
     return parser
 
 
 def _execute(args: argparse.Namespace, memo: MemoStore) -> OutputDocument:
     if args.command == "sympoly":
         poly = sym_product_poly(args.genus, args.points)
-        return OutputDocument(
-            "polynomial", poly, genus=args.genus, degree=args.points
-        )
-    if args.command == "divpoly":
-        poly = div_finite_poly(args.genus, args.rank, args.deg, args.twist)
-        return OutputDocument(
-            "polynomial", poly, genus=args.genus, rank=args.rank, degree=args.deg
-        )
+        return OutputDocument("polynomial", poly, genus=args.genus, degree=args.points)
     if args.command == "divseries":
         series = div_stable_series(args.genus, args.rank, args.truncate)
         return OutputDocument("series", series, genus=args.genus, rank=args.rank)
-    if args.command == "polygons":
-        types = enumerate_types(args.rank, args.deg, args.genus, args.max_codim)
-        return OutputDocument(
-            "type-list",
-            tuple(types),
-            genus=args.genus,
-            rank=args.rank,
-            degree=args.deg,
-        )
-    if args.command == "ssseries":
-        series = ss_series(
-            ModuliQuery(args.genus, args.rank, args.deg, args.truncate), memo
-        )
-        return OutputDocument(
-            "series", series, genus=args.genus, rank=args.rank, degree=args.deg
-        )
-    if args.command == "betti":
+    if args.command == "divpoly":
+        kind = "polynomial"
+        payload = div_finite_poly(args.genus, args.rank, args.deg, args.twist)
+    elif args.command == "polygons":
+        kind = "type-list"
+        payload = tuple(enumerate_types(args.rank, args.deg, args.genus, args.max_codim))
+    elif args.command == "ssseries":
+        kind = "series"
+        payload = ss_series(ModuliQuery(args.genus, args.rank, args.deg, args.truncate), memo)
+    else:
         if args.skip_checks and not args.unsafe:
             raise ValueError(
                 "--skip-checks drops the structural guarantees; pass --unsafe as well "
                 "to confirm"
             )
-        report = betti_poly(
+        kind = "betti-report"
+        payload = betti_poly(
             ModuliQuery(args.genus, args.rank, args.deg, args.truncate),
             memo,
             verify=not args.skip_checks,
         )
-        return OutputDocument(
-            "betti-report",
-            report,
-            genus=args.genus,
-            rank=args.rank,
-            degree=args.deg,
-        )
-    raise ValueError(f"unknown command {args.command!r}")
+    return OutputDocument(kind, payload, genus=args.genus, rank=args.rank, degree=args.deg)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

@@ -79,8 +79,20 @@ class InexactDivisionError(ValueError):
     """Polynomial division left a remainder where exactness was required."""
 
 
+def _ints(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a tuple; any that is not an int (a bool included) is a ValueError.
+
+    int() would truncate 2.7 to 2 and read "3" as 3 without a word.
+    """
+    values = tuple(values)
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"expected an integer, got {value!r}")
+    return values
+
+
 def _trimmed(coefficients: Iterable[int]) -> tuple[int, ...]:
-    coeffs = tuple(int(c) for c in coefficients)
+    coeffs = _ints(coefficients)
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
@@ -321,7 +333,7 @@ class TruncatedSeries(_Record):
     __slots__ = ("coefficients", "truncation_order")
 
     def __init__(self, coefficients: Iterable[int], truncation_order: int) -> None:
-        coefficients = tuple(int(c) for c in coefficients)
+        coefficients = _ints(coefficients)
         if truncation_order < 0:
             raise ValueError("truncation order must be nonnegative")
         if len(coefficients) != truncation_order + 1:

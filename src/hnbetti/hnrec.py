@@ -60,8 +60,18 @@ a geometric series, so for 0 <= d < r
 
 It needs no lower-rank P_ss and no enumeration of types.  P_ss(r, d) =
 P_ss(r, d + r) (tensoring by a line bundle of degree 1 moves every slope by
-1 and keeps every codimension), so d is reduced mod r first, and the twist
-class (genus, r, d mod r) is the memo key.
+1 and keeps every codimension), so d is reduced mod r first.
+
+Duality: P_ss(r, d) = P_ss(r, -d).  Reverse an admissible sequence and negate
+its degrees: (n_k, -d_k), ..., (n_1, -d_1) has total (r, -d) and partial sums
+(r - N_(k-i), S_(k-i) - d), and S_(k-i) - d > -(r - N_(k-i)) d / r says
+S_(k-i) > N_(k-i) d / r, so the new sequence is admissible.  Pieces i < j
+of the old sequence come as j, i in the new one and contribute
+n_i (-d_j) - n_j (-d_i) + n_j n_i (g - 1) = n_j d_i - n_i d_j + n_i n_j (g - 1),
+their old term, so codim is kept, and so are k and the ranks.  The two sums
+agree term by term.  So ss_series reduces d to min(d mod r, -d mod r) <= r / 2,
+the duality class (genus, r, d) is the memo key, and the DP's extra order
+2 d (r - 1) below is at most r (r - 1).
 
 e >= 1 when k >= 2.  The first term is >= 0 for g >= 1.  The middle sum
 telescopes: with n_i = N_i - N_(i-1), sum_(i<k) (n_i + n_(i+1)) N_i =
@@ -187,25 +197,26 @@ class BettiReport(_Record):
 
 
 class MemoStore:
-    """Memoized semistable series, keyed by (genus, rank, degree mod rank).
+    """Memoized semistable series, keyed by (genus, rank, duality class).
 
     The semistable series of degree n equals that of n + rank (twist by a line
-    bundle of degree 1), so one key serves a whole twist class.  ss_series
+    bundle of degree 1) and that of -n (duality, see the module docstring), so
+    one key serves every degree congruent to n or -n mod rank.  ss_series
     reduces the degree before it calls lookup or store; the degree passed here
-    is that class, 0 <= degree < rank.  One entry per key holds the longest
-    series computed so far; shorter requests are served by truncation.  Writes
-    are serialized and idempotent: re-storing a value that agrees on the
-    common prefix is a no-op (the longer one is kept), while a disagreeing
-    value raises StructuralCheckError, since two runs of an exact computation
-    can never legitimately differ.
+    is min(n mod rank, -n mod rank), so 0 <= 2 degree <= rank.  One entry per
+    key holds the longest series computed so far; shorter requests are served
+    by truncation.  Writes are serialized and idempotent: re-storing a value
+    that agrees on the common prefix is a no-op (the longer one is kept),
+    while a disagreeing value raises StructuralCheckError, since two runs of
+    an exact computation can never legitimately differ.
 
     With a cache directory set, every newly computed series is also written to
-    ``ss_g{genus}_r{rank}_n{degree mod rank}_T{order}.json``, through a temp
-    file of its own in the same directory and an atomic rename, so concurrent
-    writers never share a temp file.  Lookups fall back to any on-disk file
-    with the same key and a truncation order at least as large.  Unreadable or
-    inconsistent files are treated as misses; a note is appended to
-    ``warnings`` for each.
+    ``ss_g{genus}_r{rank}_n{degree}_T{order}.json`` (_file_name), degree being
+    the reduced one, through a temp file of its own in the same directory and
+    an atomic rename, so concurrent writers never share a temp file.  Lookups
+    fall back to any on-disk file with the same key and a truncation order at
+    least as large.  Unreadable or inconsistent files are treated as misses; a
+    note is appended to ``warnings`` for each.
     """
 
     def __init__(self, cache_dir: Union[str, Path, None] = None):
@@ -262,7 +273,8 @@ class MemoStore:
             self._entries[key] = series
             return True
 
-    def _file_name(self, genus: int, rank: int, degree: int, order: int) -> str:
+    def _file_name(self, genus: int, rank: int, degree: int, order: object) -> str:
+        """The cache file of a key and order; order "*" gives the key's glob pattern."""
         return f"ss_g{genus}_r{rank}_n{degree}_T{order}.json"
 
     def _load_file(
@@ -270,15 +282,16 @@ class MemoStore:
     ) -> Optional[TruncatedSeries]:
         from .render import parse_json  # deferred: render depends on this module
 
-        prefix = f"ss_g{genus}_r{rank}_n{degree}_T"
+        pattern = self._file_name(genus, rank, degree, "*")
+        prefix, suffix = pattern.split("*")
         candidates = []
         try:
-            names = [p.name for p in self.cache_dir.glob(prefix + "*.json")]
+            names = [p.name for p in self.cache_dir.glob(pattern)]
         except OSError as exc:
             self.warnings.append(f"cache directory unreadable: {exc}")
             return None
         for name in names:
-            stem = name[len(prefix) : -len(".json")]
+            stem = name[len(prefix) : -len(suffix)]
             try:
                 candidates.append((int(stem), name))
             except ValueError:
@@ -341,15 +354,15 @@ def ss_series(query: ModuliQuery, memo: Optional[MemoStore] = None) -> Truncated
     """Poincare series of the semistable locus, to the query's truncation order.
 
     The composition sum of the module docstring, computed by its DP.  The
-    series depends on the degree only through its twist class, degree mod
-    rank, which is what it is computed and memoized under.
+    series depends on the degree n only through min(n mod rank, -n mod rank),
+    which is what it is computed and memoized under.
     """
     if query.truncation is None:
         raise ValueError("ss_series needs an explicit truncation order")
     if memo is None:
         memo = MemoStore()
     genus, rank, order = query.genus, query.rank, query.truncation
-    degree = query.degree % rank
+    degree = min(query.degree % rank, -query.degree % rank)
     series = memo.lookup(genus, rank, degree, order)
     if series is None:
         series = _composition_sum(genus, rank, degree, order)

@@ -8,6 +8,10 @@ survive any JSON reader, the zero polynomial is the single string "0", and
 ``parse_json(render_json(doc))`` reconstructs the document exactly.  The JSON
 object always carries the same keys, with null for fields that do not apply
 to the kind; type lists additionally carry a "types" key.
+
+Each renderer reads a polynomial, series or Betti-report document through one
+view, its coefficients and its series order or None, and a type list as rows
+of (codimension, pieces).
 """
 
 from __future__ import annotations
@@ -57,49 +61,56 @@ class OutputDocument(_Record):
 
 
 def _term_string(coeffs: Sequence[int], braces: bool) -> str:
-    parts = []
+    terms = []
     for exponent, c in enumerate(coeffs):
         if c == 0:
             continue
-        mag = abs(c)
         if exponent == 0:
-            body = str(mag)
+            var = ""
+        elif exponent == 1:
+            var = "t"
         else:
-            if exponent == 1:
-                var = "t"
-            elif braces:
-                var = f"t^{{{exponent}}}"
-            else:
-                var = f"t^{exponent}"
-            body = var if mag == 1 else f"{mag}{var}"
-        parts.append((c < 0, body))
-    if not parts:
-        return "0"
-    negative, body = parts[0]
-    out = ("-" if negative else "") + body
-    for negative, body in parts[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+            var = f"t^{{{exponent}}}" if braces else f"t^{exponent}"
+        magnitude = "" if abs(c) == 1 and var else abs(c)
+        sign = (" - " if c < 0 else " + ") if terms else ("-" if c < 0 else "")
+        terms.append(f"{sign}{magnitude}{var}")
+    return "".join(terms) or "0"
 
 
-def _big_o(order: int, braces: bool) -> str:
-    exponent = order + 1
-    return f"O(t^{{{exponent}}})" if braces else f"O(t^{exponent})"
+def _coefficients_and_order(doc: OutputDocument) -> tuple[Sequence[int], Optional[int]]:
+    """A polynomial, series or Betti report: its coefficients, and its series order or None."""
+    payload = doc.payload
+    if doc.kind == "series":
+        return payload.coefficients, payload.truncation_order
+    if doc.kind == "betti-report":
+        payload = payload.polynomial
+    return payload.coefficients, None
 
 
-def _pieces_string(hn_type: HNType) -> str:
-    return "".join(f"({r};{d})" for r, d in hn_type.pieces)
+def _expression(doc: OutputDocument, braces: bool) -> str:
+    """The document's polynomial or series, a series ending in its O term."""
+    coeffs, order = _coefficients_and_order(doc)
+    body = _term_string(coeffs, braces)
+    if order is None:
+        return body
+    exponent = f"{{{order + 1}}}" if braces else order + 1
+    tail = f"O(t^{exponent})"
+    return tail if body == "0" else f"{body} + {tail}"
 
 
-def _metadata_parts(doc: OutputDocument) -> list[str]:
-    parts = []
-    if doc.genus is not None:
-        parts.append(f"genus {doc.genus}")
-    if doc.rank is not None:
-        parts.append(f"rank {doc.rank}")
-    if doc.degree is not None:
-        parts.append(f"deg {doc.degree}")
-    return parts
+def _type_rows(doc: OutputDocument, text: bool = True) -> list[tuple[int, object]]:
+    """Each type of a type list as (codimension, pieces).
+
+    The pieces are "(r;d)(r;d)..." text, or with text=False the (rank, degree)
+    pairs themselves, which json writes as arrays.
+    """
+    return [
+        (
+            stratum_codim(t, doc.genus),
+            "".join(f"({r};{d})" for r, d in t.pieces) if text else t.pieces,
+        )
+        for t in doc.payload
+    ]
 
 
 def _checks_word(checks: Optional[BettiChecks]) -> str:
@@ -109,73 +120,39 @@ def _checks_word(checks: Optional[BettiChecks]) -> str:
     return "FAILED " + ", ".join(failed) if failed else "all pass"
 
 
-def _with_footer(body: str, parts: list[str]) -> str:
-    if not parts:
-        return body
-    return f"{body}  ({', '.join(parts)})"
-
-
 def render_text(doc: OutputDocument) -> str:
-    if doc.kind == "polynomial":
-        body = _term_string(doc.payload.coefficients, braces=False)
-        return _with_footer(body, _metadata_parts(doc))
-    if doc.kind == "series":
-        series = doc.payload
-        body = _term_string(series.coefficients, braces=False)
-        tail = _big_o(series.truncation_order, braces=False)
-        body = tail if body == "0" else f"{body} + {tail}"
-        return _with_footer(body, _metadata_parts(doc))
+    metadata = ", ".join(
+        f"{label} {value}"
+        for label, value in (("genus", doc.genus), ("rank", doc.rank), ("deg", doc.degree))
+        if value is not None
+    )
+    if doc.kind == "type-list":
+        lines = [f"codim {codim}: {text}" for codim, text in _type_rows(doc)]
+        return "\n".join(lines + [f"({len(doc.payload)} types; {metadata})"])
+    body = _expression(doc, braces=False)
     if doc.kind == "betti-report":
         report = doc.payload
-        body = _term_string(report.polynomial.coefficients, braces=False)
         return (
             f"{body}  (dim {report.moduli_dimension}, "
             f"checks: {_checks_word(report.checks)})"
         )
-    lines = [
-        f"codim {stratum_codim(t, doc.genus)}: {_pieces_string(t)}"
-        for t in doc.payload
-    ]
-    lines.append(f"({len(doc.payload)} types; {', '.join(_metadata_parts(doc))})")
-    return "\n".join(lines)
+    return f"{body}  ({metadata})" if metadata else body
 
 
 def render_latex(doc: OutputDocument) -> str:
-    if doc.kind == "polynomial":
-        return _term_string(doc.payload.coefficients, braces=True)
-    if doc.kind == "series":
-        series = doc.payload
-        body = _term_string(series.coefficients, braces=True)
-        tail = _big_o(series.truncation_order, braces=True)
-        return tail if body == "0" else f"{body} + {tail}"
-    if doc.kind == "betti-report":
-        return _term_string(doc.payload.polynomial.coefficients, braces=True)
-    if not doc.payload:
-        return "\\varnothing"
-    return ",\\ ".join(
-        f"\\left[{_pieces_string(t)}\\right]_{{{stratum_codim(t, doc.genus)}}}"
-        for t in doc.payload
-    )
+    if doc.kind != "type-list":
+        return _expression(doc, braces=True)
+    rows = [f"\\left[{text}\\right]_{{{codim}}}" for codim, text in _type_rows(doc)]
+    return ",\\ ".join(rows) or "\\varnothing"
 
 
 def render_csv(doc: OutputDocument) -> str:
     if doc.kind == "type-list":
-        return "\n".join(
-            f"{stratum_codim(t, doc.genus)},{_pieces_string(t)}" for t in doc.payload
-        )
-    if doc.kind == "polynomial":
-        coeffs = doc.payload.coefficients or (0,)
-    elif doc.kind == "series":
-        coeffs = doc.payload.coefficients
+        rows = [f"{codim},{text}" for codim, text in _type_rows(doc)]
     else:
-        coeffs = doc.payload.polynomial.coefficients or (0,)
-    return "\n".join(f"{i},{c}" for i, c in enumerate(coeffs))
-
-
-def _coefficient_strings(coeffs: Sequence[int]) -> list[str]:
-    if not coeffs:
-        return ["0"]
-    return [str(c) for c in coeffs]
+        coeffs, _ = _coefficients_and_order(doc)
+        rows = [f"{i},{c}" for i, c in enumerate(coeffs or (0,))]
+    return "\n".join(rows)
 
 
 def render_json(doc: OutputDocument) -> str:
@@ -191,27 +168,21 @@ def render_json(doc: OutputDocument) -> str:
         "checks": None,
         "version": doc.version,
     }
-    if doc.kind == "polynomial":
-        obj["coefficients"] = _coefficient_strings(doc.payload.coefficients)
-    elif doc.kind == "series":
-        obj["coefficients"] = _coefficient_strings(doc.payload.coefficients)
-        obj["truncation"] = doc.payload.truncation_order
-    elif doc.kind == "betti-report":
+    if doc.kind == "type-list":
+        obj["types"] = [
+            {"codim": codim, "pieces": pieces} for codim, pieces in _type_rows(doc, text=False)
+        ]
+        return json.dumps(obj)
+    coeffs, order = _coefficients_and_order(doc)
+    obj["coefficients"] = [str(c) for c in coeffs] or ["0"]
+    obj["truncation"] = order
+    if doc.kind == "betti-report":
         report = doc.payload
-        obj["coefficients"] = _coefficient_strings(report.polynomial.coefficients)
         obj["truncation"] = report.truncation_used
         obj["dimension"] = report.moduli_dimension
         if report.checks is not None:
             checks = report.checks
             obj["checks"] = {name: getattr(checks, name) for name in checks.__slots__}
-    else:
-        obj["types"] = [
-            {
-                "codim": stratum_codim(t, doc.genus),
-                "pieces": [[r, d] for r, d in t.pieces],
-            }
-            for t in doc.payload
-        ]
     return json.dumps(obj)
 
 

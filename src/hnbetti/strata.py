@@ -49,15 +49,15 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .exactalg import _Record
+from .exactalg import _Record, _ints
 from .genfun import _check_genus
 
 
 def _as_pairs(items: Iterable) -> tuple[tuple[int, int], ...]:
     out = []
     for item in items:
-        a, b = item
-        out.append((int(a), int(b)))
+        a, b = _ints(item)
+        out.append((a, b))
     return tuple(out)
 
 

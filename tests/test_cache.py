@@ -44,6 +44,16 @@ def test_degrees_of_one_twist_class_share_cache_files(capsys, tmp_path):
         assert 0 <= degree < rank, name
 
 
+def test_dual_degrees_share_one_cache_file(tmp_path):
+    # P_ss(r, n) = P_ss(r, -n): degrees 3, 2, -2 and 8 of rank 5 are one key.
+    first = ss_series(ModuliQuery(2, 5, 3, 12), MemoStore(tmp_path))
+    files = _files(tmp_path)
+    assert list(files) == ["ss_g2_r5_n2_T12.json"]
+    for degree in (2, -2, 8):
+        assert ss_series(ModuliQuery(2, 5, degree, 12), MemoStore(tmp_path)) == first
+        assert _files(tmp_path) == files
+
+
 def test_ssseries_prints_the_requested_degree(capsys, tmp_path):
     code = run(["ssseries", "--genus", "2", "--rank", "2", "--deg", "3", "--truncate", "8",
                 "--format", "json", "--cache-dir", str(tmp_path)])

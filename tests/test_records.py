@@ -84,3 +84,20 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
     memo = MemoStore(tmp_path)
     assert memo.lookup(2, 2, 1, 8) is None
     assert len(memo.warnings) == 1 and "ss_g2_r2_n1_T8.json" in memo.warnings[0]
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (HNType, ([(1.9, 2.7), (1, 0)],)),
+        (ShatzPolygon, ([(0, 0), (1, 2.5)],)),
+        (ExactPolynomial, ((1.5, 2.9),)),
+        (ExactPolynomial, ((1, True),)),
+        (TruncatedSeries, (("3", 2.2), 1)),
+    ],
+    ids=["HNType", "ShatzPolygon", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries"],
+)
+def test_constructors_reject_non_integers(build, args):
+    # int() would take 2.7 as 2, "3" as 3 and True as 1 without a word.
+    with pytest.raises(ValueError, match="expected an integer"):
+        build(*args)
