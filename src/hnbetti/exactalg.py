@@ -334,6 +334,7 @@ class TruncatedSeries(_Record):
 
     def __init__(self, coefficients: Iterable[int], truncation_order: int) -> None:
         coefficients = _ints(coefficients)
+        _ints((truncation_order,))
         if truncation_order < 0:
             raise ValueError("truncation order must be nonnegative")
         if len(coefficients) != truncation_order + 1:

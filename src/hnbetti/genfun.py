@@ -46,8 +46,8 @@ from .exactalg import ExactPolynomial, TruncatedSeries
 
 
 def _check_genus(genus: int, least: int) -> None:
-    """Reject a genus that is not an int or is below least."""
-    if not isinstance(genus, int) or genus < least:
+    """Reject a genus that is not an int (a bool included) or is below least."""
+    if type(genus) is not int or genus < least:
         raise ValueError(f"genus must be an integer >= {least}, got {genus!r}")
 
 

@@ -128,7 +128,7 @@ import threading
 from pathlib import Path
 from typing import Optional, Union
 
-from .exactalg import ExactPolynomial, TruncatedSeries, _Record
+from .exactalg import ExactPolynomial, TruncatedSeries, _Record, _ints
 from .genfun import _check_genus, div_stable_ranks
 from .strata import HNType
 
@@ -152,6 +152,7 @@ class ModuliQuery(_Record):
         self, genus: int, rank: int, degree: int, truncation: Optional[int] = None
     ) -> None:
         _check_genus(genus, 1)
+        _ints((rank, degree) if truncation is None else (rank, degree, truncation))
         if rank < 1:
             raise ValueError(f"rank must be at least 1, got {rank}")
         if truncation is not None and truncation < 0:

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .exactalg import ExactPolynomial, TruncatedSeries, _Record
+from .genfun import _check_genus
 from .hnrec import BettiChecks, BettiReport
 from .strata import HNType, stratum_codim
 
@@ -99,18 +100,32 @@ def _expression(doc: OutputDocument, braces: bool) -> str:
 
 
 def _type_rows(doc: OutputDocument, text: bool = True) -> list[tuple[int, object]]:
-    """Each type of a type list as (codimension, pieces).
+    """Each type of a type list as (codimension, pieces), in one pass.
 
-    The pieces are "(r;d)(r;d)..." text, or with text=False the (rank, degree)
-    pairs themselves, which json writes as arrays.
+    The codimension is stratum_codim's sum over running sums, with the genus
+    checked once per document.  The pieces are "(r;d)(r;d)..." text, built
+    once per distinct piece, or with text=False the (rank, degree) pairs
+    themselves, which json writes as arrays.
     """
-    return [
-        (
-            stratum_codim(t, doc.genus),
-            "".join(f"({r};{d})" for r, d in t.pieces) if text else t.pieces,
-        )
-        for t in doc.payload
-    ]
+    _check_genus(doc.genus, 1)
+    g1 = doc.genus - 1
+    words: dict[tuple[int, int], str] = {}
+    rows = []
+    for t in doc.payload:
+        codim = rank_sum = degree_sum = 0
+        parts = []
+        for piece in t.pieces:
+            r, d = piece
+            codim += r * (degree_sum + g1 * rank_sum) - d * rank_sum
+            rank_sum += r
+            degree_sum += d
+            if text:
+                word = words.get(piece)
+                if word is None:
+                    word = words[piece] = f"({r};{d})"
+                parts.append(word)
+        rows.append((codim, "".join(parts) if text else t.pieces))
+    return rows
 
 
 def _checks_word(checks: Optional[BettiChecks]) -> str:
@@ -219,10 +234,20 @@ def parse_json(text: str) -> OutputDocument:
             checks=None if checks is None else BettiChecks(**checks),
         )
     elif kind == "type-list":
-        payload = tuple(
-            HNType([[_integer(x, "piece entry") for x in piece] for piece in entry["pieces"]])
-            for entry in data["types"]
-        )
+        types = []
+        for entry in data["types"]:
+            hn_type = HNType(
+                [[_integer(x, "piece entry") for x in piece] for piece in entry["pieces"]]
+            )
+            # The stated codimension is redundant: rendering recomputes it, so a
+            # wrong one would be replaced without a word.
+            codim = stratum_codim(hn_type, data["genus"])
+            if _integer(entry["codim"], "codim") != codim:
+                raise ValueError(
+                    f"type {hn_type.pieces} has codimension {codim}, not {entry['codim']}"
+                )
+            types.append(hn_type)
+        payload = tuple(types)
     else:
         raise ValueError(f"unknown document kind {kind!r}")
     return OutputDocument(

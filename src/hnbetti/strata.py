@@ -28,8 +28,8 @@ and when D/R is below a cap, the types of (R, D) with top slope below the cap
 and codimension <= C are the semistable type (R, D), of codimension 0, and
 for each first piece with slope below the cap and c1 <= C, that piece
 followed by each type of the rest with top slope below d1/r1 and
-codimension <= C - c1.  first_pieces lists the first pieces, and
-enumerate_types recurses over it.
+codimension <= C - c1.  enumerate_types walks this recursion depth first,
+passing down the pieces chosen so far and their codimension.
 
 Range of the first pieces (genus >= 1).  The top slope of a proper type
 exceeds its average slope, so d1/r1 > D/R, and r1 < R.  Then R d1 - r1 D >= 1
@@ -43,11 +43,25 @@ budget, so the recursion ends.  Its semistable type is always below its cap:
 the rest's slope (D - d1)/(R - r1) lies below D/R, hence below d1/r1.  At
 genus 0 the term r1 (R - r1)(g - 1) is negative, c1 can be 0 or less, and
 the budget no longer shrinks down the recursion; genus 0 is rejected.
+
+Emission order.  The walk appends each finished type to a bucket per
+codimension, and the buckets concatenated in codimension order are sorted by
+(codimension, pieces): only the distinct codimensions are sorted, not the
+types.  At every node it visits the first pieces in ascending (r1, d1) order,
+each subtree whole, and then the semistable tail (R, D).  Take two types in
+one bucket and the node where their pieces first differ.  Neither type's
+pieces are a proper prefix of the other's, since both sum to (r, n) and every
+rank is positive, so both go on from that node.  Each piece there is a first
+piece or the tail, and every first piece has r1 < R, so it sorts before the
+tail (in fact a type ending in the tail has the node's codimension, while one
+through a first piece adds c1 >= 1, so they never share a bucket).  Hence the
+type whose piece there is smaller was appended first, and each bucket is in
+lexicographic order of pieces.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable
 
 from .exactalg import _Record, _ints
 from .genfun import _check_genus
@@ -160,26 +174,6 @@ def stratum_codim(hn_type: HNType, genus: int) -> int:
     return total
 
 
-def first_pieces(
-    genus: int, rank: int, degree: int, cap: Optional[tuple[int, int]], budget: int
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (c1, r1, d1) for every first piece of a proper type of (rank, degree).
-
-    These are the pieces with r1 < rank, degree / rank < d1 / r1 < cap and
-    c1 <= budget, where c1 = rank d1 - r1 degree + r1 (rank - r1)(genus - 1)
-    is what the piece adds to the codimension (see the module docstring).
-    cap is a slope (numerator, positive denominator), or None for no bound.
-    The genus must be at least 1; callers check it.
-    """
-    for r1 in range(1, rank):
-        base = r1 * (rank - r1) * (genus - 1) - r1 * degree  # c1 = rank * d1 + base
-        d_hi = (budget - base) // rank
-        if cap is not None:
-            d_hi = min(d_hi, (cap[0] * r1 - 1) // cap[1])  # d1 / r1 < cap
-        for d1 in range((r1 * degree) // rank + 1, d_hi + 1):  # d1 / r1 > degree / rank
-            yield rank * d1 + base, r1, d1
-
-
 def enumerate_types(
     rank: int, degree: int, genus: int, max_codim: int
 ) -> list[HNType]:
@@ -187,25 +181,42 @@ def enumerate_types(
 
     Proper means at least two pieces (the semistable stratum itself is not
     listed).  Results are sorted by (codimension, pieces), so the list for a
-    smaller budget is a prefix of the list for a larger one.  Genus 0 is
-    rejected: see the module docstring for why the recursion needs genus >= 1.
+    smaller budget is a prefix of the list for a larger one; the walk emits
+    them in that order, bucketed by codimension (see the module docstring).
+    Genus 0 is rejected: see the module docstring for why the recursion needs
+    genus >= 1.
     """
     _check_genus(genus, 1)
+    _ints((rank, degree, max_codim))
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if max_codim < 0:
         raise ValueError("codimension budget must be nonnegative")
+    g1 = genus - 1
+    # Keyed by codimension, not a list of max_codim + 1 buckets: the budget
+    # can be far larger than any codimension reached.
+    buckets: dict[int, list[HNType]] = {}
+    # HNType._trusted inlined, through the slot's own setter, which
+    # _Record.__setattr__ does not block: the walk builds int pieces with
+    # positive ranks and dropping slopes, and its cost is per type.
+    new, fill = object.__new__, HNType.pieces.__set__
 
-    def below(r: int, d: int, cap: Optional[tuple[int, int]], budget: int):
-        # (codim, pieces) of every type of (r, d) with top slope below cap and
-        # codim <= budget, the semistable type first.
-        yield 0, ((r, d),)
-        for c1, r1, d1 in first_pieces(genus, r, d, cap, budget):
-            head = ((r1, d1),)
-            for codim, rest in below(r - r1, d - d1, (d1, r1), budget - c1):
-                yield c1 + codim, head + rest
+    def walk(R: int, D: int, cap_d: int, cap_r: int, budget: int, codim: int, prefix: tuple):
+        # Put prefix + t into buckets[codim + codim(t)] for every type t of
+        # (R, D) with top slope below cap_d / cap_r and codim(t) <= budget:
+        # first pieces by rank, then degree, ascending; the semistable t last.
+        for r1 in range(1, R):
+            base = r1 * (R - r1) * g1 - r1 * D  # c1 = R * d1 + base
+            d_hi = min((budget - base) // R, (cap_d * r1 - 1) // cap_r)
+            for d1 in range(r1 * D // R + 1, d_hi + 1):  # D / R < d1 / r1 < cap
+                c1 = R * d1 + base
+                walk(R - r1, D - d1, d1, r1, budget - c1, codim + c1, prefix + ((r1, d1),))
+        hn_type = new(HNType)
+        fill(hn_type, prefix + ((R, D),))
+        buckets.setdefault(codim, []).append(hn_type)
 
-    found = sorted(below(rank, degree, None, max_codim))
-    # found[0] is the semistable type, the only one of codimension 0.  below
-    # yields int pieces with positive ranks and dropping slopes.
-    return [HNType._trusted(pieces) for _, pieces in found[1:]]
+    # A first piece with c1 <= max_codim has slope at most D/R + max_codim, so
+    # this cap never binds at the top.
+    walk(rank, degree, abs(degree) + max_codim + 1, 1, max_codim, 0, ())
+    # Codimension 0 holds only the semistable type.
+    return [hn_type for codim in sorted(buckets)[1:] for hn_type in buckets[codim]]

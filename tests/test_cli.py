@@ -1,5 +1,6 @@
 """CLI contract: subcommands, formats, exit codes, cache behaviour."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -76,6 +77,27 @@ def test_polygons_csv(capsys):
     )
     assert code == 0
     assert out == "2,(1;1)(1;0)\n4,(1;2)(1;-1)\n"
+
+
+# The polygons-deep benchmark requests and the sha256 of their stdout, as
+# recorded in bench/digests.json: a change in order or formatting shows here.
+POLYGONS_DEEP = {
+    ("8", "1", "2", "120", "text"):
+        "75ce60cdddcb795c67a36f53b9c1b3926b4fd710569241d3acd589c7f594bc04",
+    ("10", "1", "2", "120", "json"):
+        "24e2a88bb15c5d194b8711df2b2eec5651f689d07fec7401bf17b626e6cae13a",
+    ("7", "3", "3", "150", "csv"):
+        "df445fb9158167aa002ccac420c838d481b07e68dcc0e2e0734b32c253cf0754",
+}
+
+
+@pytest.mark.parametrize("request_args", POLYGONS_DEEP, ids=lambda args: args[-1])
+def test_polygons_deep_stdout_is_pinned(capsys, request_args):
+    rank, deg, genus, codim, fmt = request_args
+    code, out, err = _run(capsys, "polygons", "--rank", rank, "--deg", deg, "--genus", genus,
+                          "--max-codim", codim, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == POLYGONS_DEEP[request_args]
 
 
 def test_ssseries_json_roundtrip(capsys):

@@ -190,6 +190,6 @@ GENUS_CHECKED = {
 def test_genus_is_checked_against_its_bound(name):
     least, call = GENUS_CHECKED[name]
     call(least)
-    for bad in (least - 1, float(least + 2), str(least + 2)):
+    for bad in (least - 1, float(least + 2), str(least + 2), True):
         with pytest.raises(ValueError, match="genus must be an integer >= "):
             call(bad)

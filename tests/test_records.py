@@ -94,8 +94,15 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
         (ExactPolynomial, ((1.5, 2.9),)),
         (ExactPolynomial, ((1, True),)),
         (TruncatedSeries, (("3", 2.2), 1)),
+        (TruncatedSeries, ((1, 2), 1.0)),
+        (ModuliQuery, (2, 2.0, 1, 4)),
+        (ModuliQuery, (2, 2, 1.5, 4)),
+        (ModuliQuery, (2, 2, 1, 4.0)),
+        (ModuliQuery, (2, 2, True, 4)),
     ],
-    ids=["HNType", "ShatzPolygon", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries"],
+    ids=["HNType", "ShatzPolygon", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries",
+         "TruncatedSeries-order", "ModuliQuery-rank", "ModuliQuery-degree",
+         "ModuliQuery-truncation", "ModuliQuery-bool"],
 )
 def test_constructors_reject_non_integers(build, args):
     # int() would take 2.7 as 2, "3" as 3 and True as 1 without a word.

@@ -303,6 +303,7 @@ def test_parse_json_rejects_garbage():
         ("type-list", ("types", 1, "pieces", 0, 1), 2.9),
         ("betti-report", ("dimension",), 5.0),
         ("betti-report", ("truncation",), True),
+        ("type-list", ("types", 0, "codim"), 2.0),
     ],
 )
 def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
@@ -314,4 +315,15 @@ def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
         target = target[key]
     target[path[-1]] = value
     with pytest.raises(ValueError):
+        parse_json(json.dumps(data))
+
+
+def test_parse_json_rejects_a_wrong_codimension():
+    # Rendering recomputes each codimension, so a wrong one would otherwise be
+    # replaced silently: (1;1)(1;0) has codimension 2 at genus 2.
+    doc = next(d for d in _docs() if d.kind == "type-list" and d.payload)
+    data = json.loads(render_json(doc))
+    assert data["types"][0]["codim"] == 2
+    data["types"][0]["codim"] = 99
+    with pytest.raises(ValueError, match="codimension 2, not 99"):
         parse_json(json.dumps(data))

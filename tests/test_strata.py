@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,19 @@ def test_enumerate_examples():
     assert [t.pieces for t in enumerate_types(2, 0, 2, 3)] == [((1, 1), (1, -1))]
 
 
+def test_enumerate_memory_does_not_grow_with_the_budget():
+    # The walk keeps a bucket per codimension reached, not one per unit of
+    # budget: a million-unit budget with nothing to list stays small.
+    tracemalloc.start()
+    try:
+        assert enumerate_types(1, 5, 2, 10**6) == []
+        assert len(enumerate_types(2, 1, 2, 10**3)) == 500
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_enumerate_rejects_genus_zero():
     with pytest.raises(ValueError):
         enumerate_types(2, 1, 0, 5)
@@ -173,6 +187,10 @@ def test_enumerate_rejects_genus_zero():
         enumerate_types(0, 1, 2, 5)
     with pytest.raises(ValueError):
         enumerate_types(2, 1, 2, -1)
+    # range() would raise TypeError deep in the walk, and True would pass as 1.
+    for args in ((2.0, 1, 2, 5), (2, 1.5, 2, 5), (2, 1, 2, 5.0), (2, True, 2, 5)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            enumerate_types(*args)
 
 
 def test_enumerate_entries_are_valid():
@@ -185,14 +203,17 @@ def test_enumerate_entries_are_valid():
 
 
 def test_enumerate_is_sorted_and_prefix_monotone():
-    big = enumerate_types(3, 1, 2, 12)
-    codims = [stratum_codim(t, 2) for t in big]
-    assert codims == sorted(codims)
-    keyed = [(stratum_codim(t, 2), t.pieces) for t in big]
-    assert keyed == sorted(keyed)
-    for budget in range(13):
-        small = enumerate_types(3, 1, 2, budget)
-        assert small == big[: len(small)]
+    # enumerate_types emits (codim, pieces) order from its walk, sorting no types.
+    for genus in (1, 2, 3):
+        for rank in range(1, 8):
+            for degree in range(-rank, rank + 1):
+                big = enumerate_types(rank, degree, genus, 20)
+                keyed = [(stratum_codim(t, genus), t.pieces) for t in big]
+                assert keyed == sorted(keyed), (genus, rank, degree)
+                for budget in range(20):
+                    within = sum(codim <= budget for codim, _ in keyed)
+                    small = enumerate_types(rank, degree, genus, budget)
+                    assert small == big[:within], (genus, rank, degree, budget)
 
 
 def test_enumerate_matches_brute_force():
