@@ -42,7 +42,7 @@ import functools
 from math import comb
 from typing import Iterator
 
-from .exactalg import ExactPolynomial, TruncatedSeries
+from .exactalg import ExactPolynomial, TruncatedSeries, _ints
 
 
 def _check_genus(genus: int, least: int) -> None:
@@ -67,6 +67,7 @@ def sym_product_poly(genus: int, points: int) -> ExactPolynomial:
     Degree 2m, palindromic, constant and leading coefficients 1.
     """
     _check_genus(genus, 0)
+    _ints((points,))
     if points < 0:
         raise ValueError("number of points must be nonnegative")
     coeffs = [0] * (2 * points + 1)
@@ -97,6 +98,7 @@ def div_finite_poly(
     caller can tell the difference from the zero polynomial.
     """
     _check_genus(genus, 0)
+    _ints((rank, degree, twist_degree))
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if twist_degree < 0:
@@ -127,6 +129,7 @@ def div_stable_ranks(genus: int, rank: int, order: int) -> list[TruncatedSeries]
     series is multiplied or inverted.
     """
     _check_genus(genus, 0)
+    _ints((rank, order))
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if order < 0:
@@ -163,6 +166,7 @@ def residue_series(genus: int, rank: int, order: int) -> TruncatedSeries:
     cross-check of div_stable_series.
     """
     _check_genus(genus, 0)
+    _ints((rank, order))
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if order < 0:

@@ -212,12 +212,20 @@ class MemoStore:
     an exact computation can never legitimately differ.
 
     With a cache directory set, every newly computed series is also written to
-    ``ss_g{genus}_r{rank}_n{degree}_T{order}.json`` (_file_name), degree being
-    the reduced one, through a temp file of its own in the same directory and
-    an atomic rename, so concurrent writers never share a temp file.  Lookups
-    fall back to any on-disk file with the same key and a truncation order at
-    least as large.  Unreadable or inconsistent files are treated as misses; a
-    note is appended to ``warnings`` for each.
+    ``ss_g{genus}_r{rank}_n{degree}.json`` (_file_name), degree being the
+    reduced one: one file per key, whose order is the document's own
+    "truncation" field.  A write goes through a temp file of its own in the
+    same directory and an atomic rename, so concurrent writers never share a
+    temp file, and a longer series replaces the file.  A lookup reads that one
+    file; a missing file, or one whose order is below the request, is a silent
+    miss.  Unreadable or inconsistent files are misses too; a note is appended
+    to ``warnings`` for each.
+
+    Files of the older ``ss_g{genus}_r{rank}_n{degree}_T{order}.json`` layout
+    are never opened, so they can never be served.  When concurrent writers
+    store different orders for one key, the last rename wins and a later,
+    longer request recomputes; the answers never differ, since every writer
+    stores a prefix of the same exact series.
     """
 
     def __init__(self, cache_dir: Union[str, Path, None] = None):
@@ -274,46 +282,28 @@ class MemoStore:
             self._entries[key] = series
             return True
 
-    def _file_name(self, genus: int, rank: int, degree: int, order: object) -> str:
-        """The cache file of a key and order; order "*" gives the key's glob pattern."""
-        return f"ss_g{genus}_r{rank}_n{degree}_T{order}.json"
+    def _file_name(self, genus: int, rank: int, degree: int) -> str:
+        return f"ss_g{genus}_r{rank}_n{degree}.json"
 
     def _load_file(
         self, genus: int, rank: int, degree: int, order: int
     ) -> Optional[TruncatedSeries]:
         from .render import parse_json  # deferred: render depends on this module
 
-        pattern = self._file_name(genus, rank, degree, "*")
-        prefix, suffix = pattern.split("*")
-        candidates = []
+        name = self._file_name(genus, rank, degree)
         try:
-            names = [p.name for p in self.cache_dir.glob(pattern)]
-        except OSError as exc:
-            self.warnings.append(f"cache directory unreadable: {exc}")
+            doc = parse_json((self.cache_dir / name).read_text(encoding="utf-8"))
+            if doc.kind != "series":
+                raise ValueError(f"unexpected document kind {doc.kind!r}")
+            if (doc.genus, doc.rank, doc.degree) != (genus, rank, degree):
+                raise ValueError("document metadata does not match its file name")
+        except FileNotFoundError:
             return None
-        for name in names:
-            stem = name[len(prefix) : -len(suffix)]
-            try:
-                candidates.append((int(stem), name))
-            except ValueError:
-                self.warnings.append(f"cache file {name}: unparsable truncation order")
-        for file_order, name in sorted(candidates, reverse=True):
-            if file_order < order:
-                break
-            path = self.cache_dir / name
-            try:
-                doc = parse_json(path.read_text(encoding="utf-8"))
-                if doc.kind != "series":
-                    raise ValueError(f"unexpected document kind {doc.kind!r}")
-                if (doc.genus, doc.rank, doc.degree) != (genus, rank, degree):
-                    raise ValueError("document metadata does not match its file name")
-                series = doc.payload
-                if series.truncation_order != file_order:
-                    raise ValueError("truncation order does not match the file name")
-                return series
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                self.warnings.append(f"cache file {name}: {exc}")
-        return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            self.warnings.append(f"cache file {name}: {exc}")
+            return None
+        series = doc.payload
+        return series if series.truncation_order >= order else None
 
     def _write_file(
         self, genus: int, rank: int, degree: int, series: TruncatedSeries
@@ -323,7 +313,7 @@ class MemoStore:
         doc = OutputDocument(
             kind="series", payload=series, genus=genus, rank=rank, degree=degree
         )
-        name = self._file_name(genus, rank, degree, series.truncation_order)
+        name = self._file_name(genus, rank, degree)
         # A random name per writer; O_EXCL never opens another writer's file,
         # and mode 0o666 less the umask is what a plain open would give.
         tmp = self.cache_dir / f".{name}.{os.urandom(8).hex()}.tmp"
@@ -346,6 +336,7 @@ class MemoStore:
 def dim_moduli(genus: int, rank: int) -> int:
     """Dimension of the moduli space of stable bundles: 1 + rank^2 (genus - 1)."""
     _check_genus(genus, 1)
+    _ints((rank,))
     if rank < 1:
         raise ValueError("rank must be at least 1")
     return 1 + rank * rank * (genus - 1)
@@ -500,6 +491,7 @@ def rank2_oracle(genus: int, degree: int, order: int) -> TruncatedSeries:
     covers every odd n.
     """
     _check_genus(genus, 1)
+    _ints((degree, order))
     if degree % 2 == 0:
         raise ValueError(f"the rank-2 closed form needs odd degree, got {degree}")
     if order < 0:

@@ -187,7 +187,7 @@ def render_json(doc: OutputDocument) -> str:
         obj["types"] = [
             {"codim": codim, "pieces": pieces} for codim, pieces in _type_rows(doc, text=False)
         ]
-        return json.dumps(obj)
+        return json.dumps(obj, check_circular=False)
     coeffs, order = _coefficients_and_order(doc)
     obj["coefficients"] = [str(c) for c in coeffs] or ["0"]
     obj["truncation"] = order
@@ -198,7 +198,7 @@ def render_json(doc: OutputDocument) -> str:
         if report.checks is not None:
             checks = report.checks
             obj["checks"] = {name: getattr(checks, name) for name in checks.__slots__}
-    return json.dumps(obj)
+    return json.dumps(obj, check_circular=False)
 
 
 def _coefficients(strings: object) -> tuple[int, ...]:

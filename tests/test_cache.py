@@ -14,7 +14,7 @@ from hnbetti.cli import run
 from hnbetti.hnrec import MemoStore, ModuliQuery, ss_series
 
 PACKAGE_PARENT = str(Path(hnbetti.__file__).resolve().parent.parent)
-FILE_NAME = re.compile(r"ss_g(\d+)_r(\d+)_n(-?\d+)_T(\d+)\.json")
+FILE_NAME = re.compile(r"ss_g(\d+)_r(\d+)_n(-?\d+)\.json")
 
 
 def _betti(capsys, degree, cache_dir):
@@ -40,7 +40,7 @@ def test_degrees_of_one_twist_class_share_cache_files(capsys, tmp_path):
         assert _files(tmp_path) == files
         assert out == first  # the text format does not print the degree
     for name in files:
-        genus, rank, degree, _ = map(int, FILE_NAME.fullmatch(name).groups())
+        genus, rank, degree = map(int, FILE_NAME.fullmatch(name).groups())
         assert 0 <= degree < rank, name
 
 
@@ -48,7 +48,7 @@ def test_dual_degrees_share_one_cache_file(tmp_path):
     # P_ss(r, n) = P_ss(r, -n): degrees 3, 2, -2 and 8 of rank 5 are one key.
     first = ss_series(ModuliQuery(2, 5, 3, 12), MemoStore(tmp_path))
     files = _files(tmp_path)
-    assert list(files) == ["ss_g2_r5_n2_T12.json"]
+    assert list(files) == ["ss_g2_r5_n2.json"]
     for degree in (2, -2, 8):
         assert ss_series(ModuliQuery(2, 5, degree, 12), MemoStore(tmp_path)) == first
         assert _files(tmp_path) == files
@@ -73,10 +73,10 @@ def test_cache_files_get_the_mode_of_a_plain_open(tmp_path):
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
-    (tmp_path / "ss_g2_r2_n1_T8.json").mkdir()  # the rename onto it fails
+    (tmp_path / "ss_g2_r2_n1.json").mkdir()  # the rename onto it fails
     memo = MemoStore(tmp_path)
     ss_series(ModuliQuery(2, 2, 1, 8), memo)
-    assert any("ss_g2_r2_n1_T8.json: write failed" in w for w in memo.warnings)
+    assert any("ss_g2_r2_n1.json: write failed" in w for w in memo.warnings)
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
@@ -118,7 +118,7 @@ def test_numbers_where_the_format_has_strings_are_a_miss(capsys, tmp_path, field
             "--strict-cache", "--cache-dir", str(tmp_path)]
     assert run(argv) == 0
     cold, _ = capsys.readouterr()
-    path = tmp_path / "ss_g2_r1_n0_T4.json"
+    path = tmp_path / "ss_g2_r1_n0.json"
     data = json.loads(path.read_text(encoding="utf-8"))
     if index is None:
         data[field] = value
@@ -129,4 +129,45 @@ def test_numbers_where_the_format_has_strings_are_a_miss(capsys, tmp_path, field
     assert run(argv) == 4
     out, err = capsys.readouterr()
     assert out == cold
-    assert "cache warning: cache file ss_g2_r1_n0_T4.json" in err
+    assert "cache warning: cache file ss_g2_r1_n0.json" in err
+
+
+def test_one_file_per_key_holds_the_longest_series(tmp_path):
+    ss_series(ModuliQuery(2, 2, 1, 8), MemoStore(tmp_path))
+    longer = ss_series(ModuliQuery(2, 2, 1, 12), MemoStore(tmp_path))
+    files = _files(tmp_path)
+    assert list(files) == ["ss_g2_r2_n1.json"]
+    data = json.loads((tmp_path / "ss_g2_r2_n1.json").read_text(encoding="utf-8"))
+    assert data["truncation"] == 12
+
+    memo = MemoStore(tmp_path)
+    assert ss_series(ModuliQuery(2, 2, 1, 10), memo) == longer.truncate(10)
+    assert _files(tmp_path) == files  # served from the file: nothing written
+    assert not memo.warnings
+
+
+def test_old_layout_files_are_never_read(capsys, tmp_path):
+    cold = _betti(capsys, 1, tmp_path / "cold")
+    path = tmp_path / "cold" / "ss_g2_r2_n1.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["coefficients"][3] = str(int(data["coefficients"][3]) + 1)
+    (tmp_path / "ss_g2_r2_n1_T20.json").write_text(json.dumps(data), encoding="utf-8")
+
+    memo = MemoStore(tmp_path)
+    assert memo.lookup(2, 2, 1, 20) is None
+    assert not memo.warnings
+    assert _betti(capsys, 1, tmp_path) == cold  # --strict-cache: no warning either
+
+
+def test_shorter_file_is_a_silent_miss_and_is_replaced(tmp_path):
+    ss_series(ModuliQuery(2, 2, 1, 6), MemoStore(tmp_path))
+    before = _files(tmp_path)
+
+    memo = MemoStore(tmp_path)
+    assert memo.lookup(2, 2, 1, 9) is None
+    longer = ss_series(ModuliQuery(2, 2, 1, 9), memo)
+    assert not memo.warnings
+    after = _files(tmp_path)
+    assert list(after) == ["ss_g2_r2_n1.json"]
+    assert after != before  # rewritten through a rename
+    assert MemoStore(tmp_path).lookup(2, 2, 1, 9) == longer

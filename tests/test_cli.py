@@ -167,7 +167,7 @@ def test_exit_3_on_poisoned_cache(capsys, tmp_path):
         "--cache-dir", str(tmp_path),
     )
     assert code == 0
-    path = tmp_path / "ss_g2_r2_n1_T20.json"
+    path = tmp_path / "ss_g2_r2_n1.json"
     data = json.loads(path.read_text(encoding="utf-8"))
     coeffs = [int(c) for c in data["coefficients"]]
     coeffs[3] += 1  # well-formed but mathematically wrong
@@ -185,7 +185,7 @@ def test_exit_3_on_poisoned_cache(capsys, tmp_path):
 
 
 def test_exit_4_strict_cache(capsys, tmp_path):
-    (tmp_path / "ss_g2_r2_n1_T30.json").write_text("{ not json", encoding="utf-8")
+    (tmp_path / "ss_g2_r2_n1.json").write_text("{ not json", encoding="utf-8")
     code, out, err = _run(
         capsys, "betti", "--genus", "2", "--rank", "2", "--deg", "1",
         "--cache-dir", str(tmp_path), "--strict-cache",
@@ -196,7 +196,7 @@ def test_exit_4_strict_cache(capsys, tmp_path):
     assert out.startswith(BETTI_G2_R2_N1)
 
     # Without --strict-cache the same situation is only a warning.
-    (tmp_path / "ss_g2_r2_n1_T30.json").write_text("{ not json", encoding="utf-8")
+    (tmp_path / "ss_g2_r2_n1.json").write_text("{ not json", encoding="utf-8")
     code, out, err = _run(
         capsys, "betti", "--genus", "2", "--rank", "2", "--deg", "1",
         "--cache-dir", str(tmp_path),
@@ -210,13 +210,13 @@ def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
     code, _, _ = _run(capsys, "ssseries", "--genus", "2", "--rank", "2", "--deg", "1",
                       "--truncate", "8")
     assert code == 0
-    assert (tmp_path / "ss_g2_r2_n1_T8.json").exists()
+    assert (tmp_path / "ss_g2_r2_n1.json").exists()
 
     flag_dir = tmp_path / "flagged"
     code, _, _ = _run(capsys, "ssseries", "--genus", "2", "--rank", "2", "--deg", "1",
                       "--truncate", "8", "--cache-dir", str(flag_dir))
     assert code == 0
-    assert (flag_dir / "ss_g2_r2_n1_T8.json").exists()
+    assert (flag_dir / "ss_g2_r2_n1.json").exists()
 
 
 def test_warm_cache_output_is_identical(capsys, tmp_path):

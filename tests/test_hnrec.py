@@ -194,6 +194,30 @@ def test_betti_skip_verification():
     assert report.polynomial.coefficients == (1, 4, 7, 12, 24, 32, 24, 12, 7, 4, 1)
 
 
+def _hard_lefschetz(betti, dim):
+    return all(betti[i] <= betti[i + 2] for i in range(dim - 1))
+
+
+@pytest.mark.parametrize(
+    "genus, rank, degree",
+    [(g, r, d) for g in (2, 3) for r in range(2, 6) for d in range(1, r) if math.gcd(r, d) == 1],
+)
+def test_betti_fixed_determinant_quotient_and_hard_lefschetz(genus, rank, degree):
+    # P(N) = (1+t)^(2g) P(N_0), N_0 the smooth projective fixed-determinant
+    # moduli space (Atiyah-Bott 1983, section 9); hard Lefschetz holds on both.
+    report = betti_poly(ModuliQuery(genus, rank, degree))
+    dim = report.moduli_dimension
+    betti = report.polynomial.coefficients
+    fixed = report.polynomial.divide_exact(ExactPolynomial.from_terms({0: 1, 1: 1}) ** (2 * genus))
+    quotient = fixed.coefficients
+    assert fixed.degree == 2 * (dim - genus)
+    assert fixed.is_palindromic()
+    assert all(c >= 0 for c in quotient)
+    assert quotient[:4] == (1, 0, 1, 2 * genus)
+    assert _hard_lefschetz(betti, dim)
+    assert _hard_lefschetz(quotient, dim - genus)
+
+
 def test_betti_structural_failure_carries_diagnostic():
     # Poison the memo with a well-formed but wrong series: the checks must
     # catch it and the diagnostic must name what failed.
@@ -257,7 +281,7 @@ def test_memo_store_is_idempotent_but_rejects_conflicts():
 def test_memo_disk_roundtrip(tmp_path):
     warm = MemoStore(tmp_path)
     computed = ss_series(ModuliQuery(2, 2, 1, 10), warm)
-    assert (tmp_path / "ss_g2_r2_n1_T10.json").exists()
+    assert (tmp_path / "ss_g2_r2_n1.json").exists()
     assert not warm.warnings
 
     cold = MemoStore(tmp_path)
@@ -271,13 +295,13 @@ def test_memo_disk_roundtrip(tmp_path):
 def test_memo_survives_corrupt_cache_file(tmp_path):
     seed = MemoStore(tmp_path)
     good = ss_series(ModuliQuery(2, 1, 0, 9), seed)
-    path = tmp_path / "ss_g2_r1_n0_T9.json"
+    path = tmp_path / "ss_g2_r1_n0.json"
     path.write_text("{ not json", encoding="utf-8")
 
     store = MemoStore(tmp_path)
     assert store.lookup(2, 1, 0, 9) is None
     assert len(store.warnings) == 1
-    assert "ss_g2_r1_n0_T9.json" in store.warnings[0]
+    assert "ss_g2_r1_n0.json" in store.warnings[0]
     # Recomputing through the store heals the file.
     again = ss_series(ModuliQuery(2, 1, 0, 9), store)
     assert again.coefficients == good.coefficients
@@ -287,7 +311,7 @@ def test_memo_survives_corrupt_cache_file(tmp_path):
 def test_memo_rejects_mismatched_file_metadata(tmp_path):
     store = MemoStore(tmp_path)
     ss_series(ModuliQuery(2, 1, 0, 6), store)
-    path = tmp_path / "ss_g2_r1_n0_T6.json"
+    path = tmp_path / "ss_g2_r1_n0.json"
     data = json.loads(path.read_text(encoding="utf-8"))
     data["degree"] = 5  # metadata no longer matches the file name
     path.write_text(json.dumps(data), encoding="utf-8")

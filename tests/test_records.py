@@ -8,7 +8,14 @@ import pytest
 
 from hnbetti import __version__
 from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
-from hnbetti.hnrec import BettiChecks, BettiReport, MemoStore, ModuliQuery
+from hnbetti.genfun import (
+    div_finite_poly,
+    div_stable_ranks,
+    div_stable_series,
+    residue_series,
+    sym_product_poly,
+)
+from hnbetti.hnrec import BettiChecks, BettiReport, MemoStore, ModuliQuery, dim_moduli, rank2_oracle
 from hnbetti.render import OutputDocument, parse_json, render_json
 from hnbetti.strata import HNType, ShatzPolygon
 
@@ -80,10 +87,10 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
     data["checks"]["extra"] = True
     with pytest.raises(TypeError):
         parse_json(json.dumps(data))
-    (tmp_path / "ss_g2_r2_n1_T8.json").write_text(json.dumps(data), encoding="utf-8")
+    (tmp_path / "ss_g2_r2_n1.json").write_text(json.dumps(data), encoding="utf-8")
     memo = MemoStore(tmp_path)
     assert memo.lookup(2, 2, 1, 8) is None
-    assert len(memo.warnings) == 1 and "ss_g2_r2_n1_T8.json" in memo.warnings[0]
+    assert len(memo.warnings) == 1 and "ss_g2_r2_n1.json" in memo.warnings[0]
 
 
 @pytest.mark.parametrize(
@@ -99,12 +106,25 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
         (ModuliQuery, (2, 2, 1.5, 4)),
         (ModuliQuery, (2, 2, 1, 4.0)),
         (ModuliQuery, (2, 2, True, 4)),
+        (dim_moduli, (2, 2.5)),
+        (dim_moduli, (2, True)),
+        (sym_product_poly, (2, True)),
+        (div_stable_series, (2, True, 3)),
+        (rank2_oracle, (2, 1.0, 4)),
+        (div_stable_ranks, (2, 2, 4.0)),
+        (residue_series, (2, 2, 4.0)),
+        (rank2_oracle, (2, 1, 4.0)),
+        (div_finite_poly, (2, 2, 1, 1.0)),
     ],
     ids=["HNType", "ShatzPolygon", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries",
          "TruncatedSeries-order", "ModuliQuery-rank", "ModuliQuery-degree",
-         "ModuliQuery-truncation", "ModuliQuery-bool"],
+         "ModuliQuery-truncation", "ModuliQuery-bool", "dim_moduli-rank", "dim_moduli-bool",
+         "sym_product_poly-bool", "div_stable_series-bool", "rank2_oracle-degree",
+         "div_stable_ranks-order", "residue_series-order", "rank2_oracle-order",
+         "div_finite_poly-twist"],
 )
 def test_constructors_reject_non_integers(build, args):
-    # int() would take 2.7 as 2, "3" as 3 and True as 1 without a word.
+    # int() would take 2.7 as 2, "3" as 3 and True as 1 without a word; the
+    # library functions answered for 2.5, True and 1.0 or failed in list arithmetic.
     with pytest.raises(ValueError, match="expected an integer"):
         build(*args)
