@@ -22,7 +22,7 @@ time than the arithmetic of a small request.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 class _Record:
@@ -79,10 +79,26 @@ class InexactDivisionError(ValueError):
     """Polynomial division left a remainder where exactness was required."""
 
 
+def _check_int(name: str, value: int, least: Optional[int] = None) -> int:
+    """value itself, when it is an int (a bool is not) no smaller than least; else a ValueError.
+
+    The package's one check for an integer argument: a genus, rank, degree,
+    exponent or truncation order.  The error names the argument.  int() would
+    truncate 2.7 to 2 and read "3" as 3 without a word.
+    """
+    if type(value) is not int:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}: expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _ints(values: Iterable[int]) -> tuple[int, ...]:
     """The values as a tuple; any that is not an int (a bool included) is a ValueError.
 
-    int() would truncate 2.7 to 2 and read "3" as 3 without a word.
+    For coefficient vectors and type pieces; a single argument goes through
+    _check_int, which also names it.
     """
     values = tuple(values)
     for value in values:
@@ -168,19 +184,15 @@ class ExactPolynomial(_Record):
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "ExactPolynomial":
-        if exponent < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        return cls((0,) * exponent + (coefficient,))
+        return cls((0,) * _check_int("exponent", exponent, 0) + (coefficient,))
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, int]) -> "ExactPolynomial":
         """Build a polynomial from an {exponent: coefficient} mapping."""
-        if not terms:
-            return cls.zero()
-        coeffs = [0] * (max(terms) + 1)
+        for exponent in terms:
+            _check_int("exponent", exponent, 0)
+        coeffs = [0] * (max(terms, default=-1) + 1)
         for exponent, coefficient in terms.items():
-            if exponent < 0:
-                raise ValueError("exponents must be nonnegative")
             coeffs[exponent] += coefficient
         return cls(tuple(coeffs))
 
@@ -195,9 +207,7 @@ class ExactPolynomial(_Record):
         return not self.coefficients
 
     def coefficient(self, exponent: int) -> int:
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        if exponent >= len(self.coefficients):
+        if _check_int("exponent", exponent, 0) >= len(self.coefficients):
             return 0
         return self.coefficients[exponent]
 
@@ -239,8 +249,7 @@ class ExactPolynomial(_Record):
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "ExactPolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers require a nonnegative integer exponent")
+        _check_int("exponent", exponent, 0)
         result = ExactPolynomial.one()
         base = self
         n = exponent
@@ -296,8 +305,7 @@ class ExactPolynomial(_Record):
 
     def as_series(self, order: int) -> "TruncatedSeries":
         """This polynomial reduced modulo t^(order+1)."""
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _check_int("truncation order", order, 0)
         coeffs = self.coefficients[: order + 1]
         return TruncatedSeries._trusted(coeffs + (0,) * (order + 1 - len(coeffs)), order)
 
@@ -307,8 +315,7 @@ class ExactPolynomial(_Record):
         The constant term must be a unit of the integers (+1 or -1); anything
         else cannot be inverted without leaving the integer coefficient ring.
         """
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _check_int("truncation order", order, 0)
         unit = self.coefficient(0)
         if unit not in (1, -1):
             raise ValueError(f"constant term {unit} is not invertible over the integers")
@@ -334,9 +341,7 @@ class TruncatedSeries(_Record):
 
     def __init__(self, coefficients: Iterable[int], truncation_order: int) -> None:
         coefficients = _ints(coefficients)
-        _ints((truncation_order,))
-        if truncation_order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _check_int("truncation order", truncation_order, 0)
         if len(coefficients) != truncation_order + 1:
             raise ValueError(
                 f"expected {truncation_order + 1} coefficients, got {len(coefficients)}"
@@ -348,7 +353,7 @@ class TruncatedSeries(_Record):
         return cls((1,) + (0,) * order, order)
 
     def coefficient(self, exponent: int) -> int:
-        if not 0 <= exponent <= self.truncation_order:
+        if _check_int("exponent", exponent, 0) > self.truncation_order:
             raise ValueError(
                 f"coefficient {exponent} is outside the known range 0..{self.truncation_order}"
             )
@@ -356,7 +361,7 @@ class TruncatedSeries(_Record):
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients above the given (not larger) order."""
-        if order > self.truncation_order:
+        if _check_int("truncation order", order, 0) > self.truncation_order:
             raise ValueError(
                 f"cannot extend truncation order {self.truncation_order} to {order}"
             )
@@ -366,15 +371,14 @@ class TruncatedSeries(_Record):
 
     def times_t_power(self, exponent: int) -> "TruncatedSeries":
         """Multiply by t^exponent; the known order grows by the same amount."""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
+        _check_int("exponent", exponent, 0)
         return TruncatedSeries._trusted(
             (0,) * exponent + self.coefficients, self.truncation_order + exponent
         )
 
     def polynomial_prefix(self, max_degree: int) -> ExactPolynomial:
         """The polynomial formed by coefficients 0..max_degree."""
-        if max_degree > self.truncation_order:
+        if _check_int("prefix degree", max_degree, 0) > self.truncation_order:
             raise ValueError(
                 f"prefix degree {max_degree} exceeds truncation order {self.truncation_order}"
             )

@@ -32,8 +32,7 @@ is the only curve invariant the formulas use, and it is passed as a plain int.
   and inverts series: two routes to the same numbers that share no arithmetic.
 
 All of these hold for every genus g >= 0; the Harder-Narasimhan recursion
-built on them needs g >= 1 (see the strata module).  _check_genus is the one
-place a genus is checked against such a bound.
+built on them needs g >= 1 (see the strata module).
 """
 
 from __future__ import annotations
@@ -42,13 +41,7 @@ import functools
 from math import comb
 from typing import Iterator
 
-from .exactalg import ExactPolynomial, TruncatedSeries, _ints
-
-
-def _check_genus(genus: int, least: int) -> None:
-    """Reject a genus that is not an int (a bool included) or is below least."""
-    if type(genus) is not int or genus < least:
-        raise ValueError(f"genus must be an integer >= {least}, got {genus!r}")
+from .exactalg import ExactPolynomial, TruncatedSeries, _check_int
 
 
 def _one_plus_tpow(exponent: int) -> ExactPolynomial:
@@ -66,10 +59,8 @@ def sym_product_poly(genus: int, points: int) -> ExactPolynomial:
 
     Degree 2m, palindromic, constant and leading coefficients 1.
     """
-    _check_genus(genus, 0)
-    _ints((points,))
-    if points < 0:
-        raise ValueError("number of points must be nonnegative")
+    _check_int("genus", genus, 0)
+    _check_int("points", points, 0)
     coeffs = [0] * (2 * points + 1)
     for k in range(min(2 * genus, points) + 1):
         c = comb(2 * genus, k)
@@ -97,12 +88,10 @@ def div_finite_poly(
     m = rank * twist_degree - degree >= 0; an empty range is rejected so the
     caller can tell the difference from the zero polynomial.
     """
-    _check_genus(genus, 0)
-    _ints((rank, degree, twist_degree))
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if twist_degree < 0:
-        raise ValueError("twist degree must be nonnegative")
+    _check_int("genus", genus, 0)
+    _check_int("rank", rank, 1)
+    _check_int("degree", degree)
+    _check_int("twist degree", twist_degree, 0)
     total = rank * twist_degree - degree
     if total < 0:
         raise ValueError(
@@ -128,12 +117,9 @@ def div_stable_ranks(genus: int, rank: int, order: int) -> list[TruncatedSeries]
     (1 + t^a) is one shifted add, dividing by (1 - t^a) one running sum, so no
     series is multiplied or inverted.
     """
-    _check_genus(genus, 0)
-    _ints((rank, order))
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_int("genus", genus, 0)
+    _check_int("rank", rank, 1)
+    _check_int("truncation order", order, 0)
     coeffs = [1] + [0] * order
     out = []
     for j in range(rank):
@@ -165,12 +151,9 @@ def residue_series(genus: int, rank: int, order: int) -> TruncatedSeries:
     time.  No multiplied-out closed form is used, so this is an independent
     cross-check of div_stable_series.
     """
-    _check_genus(genus, 0)
-    _ints((rank, order))
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_int("genus", genus, 0)
+    _check_int("rank", rank, 1)
+    _check_int("truncation order", order, 0)
     g2 = 2 * genus
     out = TruncatedSeries.one(order)
     for j in range(rank):

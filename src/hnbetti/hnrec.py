@@ -128,8 +128,8 @@ import threading
 from pathlib import Path
 from typing import Optional, Union
 
-from .exactalg import ExactPolynomial, TruncatedSeries, _Record, _ints
-from .genfun import _check_genus, div_stable_ranks
+from .exactalg import ExactPolynomial, TruncatedSeries, _Record, _check_int
+from .genfun import div_stable_ranks
 from .strata import HNType
 
 TRUNCATION_SLACK = 10
@@ -151,17 +151,20 @@ class ModuliQuery(_Record):
     def __init__(
         self, genus: int, rank: int, degree: int, truncation: Optional[int] = None
     ) -> None:
-        _check_genus(genus, 1)
-        _ints((rank, degree) if truncation is None else (rank, degree, truncation))
-        if rank < 1:
-            raise ValueError(f"rank must be at least 1, got {rank}")
-        if truncation is not None and truncation < 0:
-            raise ValueError(f"truncation order must be nonnegative, got {truncation}")
+        _check_int("genus", genus, 1)
+        _check_int("rank", rank, 1)
+        _check_int("degree", degree)
+        if truncation is not None:
+            _check_int("truncation order", truncation, 0)
         self._fill(genus, rank, degree, truncation)
 
 
 class BettiChecks(_Record):
-    """Outcome of the four structural checks on a Betti polynomial."""
+    """Outcome of the four structural checks on a Betti polynomial.
+
+    Every field is a bool: failed() reads any other value by its truth, so a
+    "no" from outside would read as a pass.
+    """
 
     __slots__ = ("tail_vanishes", "degree_matches_2dim", "palindromic", "nonnegative")
 
@@ -172,7 +175,11 @@ class BettiChecks(_Record):
         palindromic: bool,
         nonnegative: bool,
     ) -> None:
-        self._fill(tail_vanishes, degree_matches_2dim, palindromic, nonnegative)
+        values = (tail_vanishes, degree_matches_2dim, palindromic, nonnegative)
+        for name, value in zip(self.__slots__, values):
+            if type(value) is not bool:
+                raise ValueError(f"check {name} must be true or false, got {value!r}")
+        self._fill(*values)
 
     def failed(self) -> list[str]:
         """Names of the failed checks, in field order."""
@@ -335,10 +342,8 @@ class MemoStore:
 
 def dim_moduli(genus: int, rank: int) -> int:
     """Dimension of the moduli space of stable bundles: 1 + rank^2 (genus - 1)."""
-    _check_genus(genus, 1)
-    _ints((rank,))
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
+    _check_int("genus", genus, 1)
+    _check_int("rank", rank, 1)
     return 1 + rank * rank * (genus - 1)
 
 
@@ -490,12 +495,10 @@ def rank2_oracle(genus: int, degree: int, order: int) -> TruncatedSeries:
     degree only enters through its parity, which is why a single closed form
     covers every odd n.
     """
-    _check_genus(genus, 1)
-    _ints((degree, order))
-    if degree % 2 == 0:
+    _check_int("genus", genus, 1)
+    _check_int("truncation order", order, 0)
+    if _check_int("degree", degree) % 2 == 0:
         raise ValueError(f"the rank-2 closed form needs odd degree, got {degree}")
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
     g2 = 2 * genus
     one_plus_t = ExactPolynomial.from_terms({0: 1, 1: 1})
     one_plus_t3 = ExactPolynomial.from_terms({0: 1, 3: 1})

@@ -10,18 +10,18 @@ object always carries the same keys, with null for fields that do not apply
 to the kind; type lists additionally carry a "types" key.
 
 Each renderer reads a polynomial, series or Betti-report document through one
-view, its coefficients and its series order or None, and a type list as rows
-of (codimension, pieces).
+view, its coefficients and its series order or None.  A type list's payload is
+a tuple of (codimension, HNType) rows, as strata.enumerate_types returns them:
+the renderers write the codimensions they are given and compute none.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._version import __version__
-from .exactalg import ExactPolynomial, TruncatedSeries, _Record
-from .genfun import _check_genus
+from .exactalg import ExactPolynomial, TruncatedSeries, _Record, _check_int
 from .hnrec import BettiChecks, BettiReport
 from .strata import HNType, stratum_codim
 
@@ -36,7 +36,11 @@ _PAYLOAD_TYPES = {
 
 
 class OutputDocument(_Record):
-    """One renderable result plus the request metadata it answers."""
+    """One renderable result plus the request metadata it answers.
+
+    genus, rank and degree are ints or None.  A type list needs its genus,
+    which parse_json checks each stated codimension against.
+    """
 
     __slots__ = ("kind", "payload", "genus", "rank", "degree", "version")
 
@@ -53,11 +57,18 @@ class OutputDocument(_Record):
             raise ValueError(f"unknown document kind {kind!r}")
         if not isinstance(payload, _PAYLOAD_TYPES[kind]):
             raise ValueError(f"kind {kind!r} cannot carry a {type(payload).__name__}")
+        for name, value in (("genus", genus), ("rank", rank), ("degree", degree)):
+            if value is not None:
+                _check_int(name, value)
         if kind == "type-list":
             if genus is None:
                 raise ValueError("type lists need genus metadata for codimensions")
-            if not all(isinstance(t, HNType) for t in payload):
-                raise ValueError("type-list payload must contain HNType entries")
+            for row in payload:
+                if not (
+                    type(row) is tuple and len(row) == 2
+                    and type(row[0]) is int and type(row[1]) is HNType
+                ):
+                    raise ValueError(f"type-list rows must be (codim, HNType) pairs, got {row!r}")
         self._fill(kind, payload, genus, rank, degree, version)
 
 
@@ -99,33 +110,20 @@ def _expression(doc: OutputDocument, braces: bool) -> str:
     return tail if body == "0" else f"{body} + {tail}"
 
 
-def _type_rows(doc: OutputDocument, text: bool = True) -> list[tuple[int, object]]:
-    """Each type of a type list as (codimension, pieces), in one pass.
+def _type_rows(doc: OutputDocument) -> Iterator[tuple[int, str]]:
+    """Each row of a type list as (codimension, "(r;d)(r;d)..."), in one pass.
 
-    The codimension is stratum_codim's sum over running sums, with the genus
-    checked once per document.  The pieces are "(r;d)(r;d)..." text, built
-    once per distinct piece, or with text=False the (rank, degree) pairs
-    themselves, which json writes as arrays.
+    The text of each distinct piece is built once per document.
     """
-    _check_genus(doc.genus, 1)
-    g1 = doc.genus - 1
     words: dict[tuple[int, int], str] = {}
-    rows = []
-    for t in doc.payload:
-        codim = rank_sum = degree_sum = 0
+    for codim, t in doc.payload:
         parts = []
         for piece in t.pieces:
-            r, d = piece
-            codim += r * (degree_sum + g1 * rank_sum) - d * rank_sum
-            rank_sum += r
-            degree_sum += d
-            if text:
-                word = words.get(piece)
-                if word is None:
-                    word = words[piece] = f"({r};{d})"
-                parts.append(word)
-        rows.append((codim, "".join(parts) if text else t.pieces))
-    return rows
+            word = words.get(piece)
+            if word is None:
+                word = words[piece] = f"({piece[0]};{piece[1]})"
+            parts.append(word)
+        yield codim, "".join(parts)
 
 
 def _checks_word(checks: Optional[BettiChecks]) -> str:
@@ -184,9 +182,8 @@ def render_json(doc: OutputDocument) -> str:
         "version": doc.version,
     }
     if doc.kind == "type-list":
-        obj["types"] = [
-            {"codim": codim, "pieces": pieces} for codim, pieces in _type_rows(doc, text=False)
-        ]
+        # json writes the (rank, degree) tuples as arrays.
+        obj["types"] = [{"codim": codim, "pieces": t.pieces} for codim, t in doc.payload]
         return json.dumps(obj, check_circular=False)
     coeffs, order = _coefficients_and_order(doc)
     obj["coefficients"] = [str(c) for c in coeffs] or ["0"]
@@ -208,12 +205,6 @@ def _coefficients(strings: object) -> tuple[int, ...]:
     return tuple(int(s) for s in strings)
 
 
-def _integer(value: object, what: str) -> int:
-    if type(value) is not int:  # bool is an int too
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def parse_json(text: str) -> OutputDocument:
     """Inverse of render_json: rebuild the document, validating as it goes."""
     data = json.loads(text)
@@ -224,30 +215,28 @@ def parse_json(text: str) -> OutputDocument:
         payload: object = ExactPolynomial(_coefficients(data["coefficients"]))
     elif kind == "series":
         coeffs = _coefficients(data["coefficients"])
-        payload = TruncatedSeries(coeffs, _integer(data["truncation"], "truncation"))
+        payload = TruncatedSeries(coeffs, _check_int("truncation", data["truncation"]))
     elif kind == "betti-report":
         checks = data["checks"]
         payload = BettiReport(
             polynomial=ExactPolynomial(_coefficients(data["coefficients"])),
-            moduli_dimension=_integer(data["dimension"], "dimension"),
-            truncation_used=_integer(data["truncation"], "truncation"),
+            moduli_dimension=_check_int("dimension", data["dimension"]),
+            truncation_used=_check_int("truncation", data["truncation"]),
             checks=None if checks is None else BettiChecks(**checks),
         )
     elif kind == "type-list":
-        types = []
+        rows = []
         for entry in data["types"]:
-            hn_type = HNType(
-                [[_integer(x, "piece entry") for x in piece] for piece in entry["pieces"]]
-            )
-            # The stated codimension is redundant: rendering recomputes it, so a
-            # wrong one would be replaced without a word.
+            hn_type = HNType(entry["pieces"])
+            # Rendering writes the codimension it is given, so a wrong one
+            # would be passed on without a word.
             codim = stratum_codim(hn_type, data["genus"])
-            if _integer(entry["codim"], "codim") != codim:
+            if _check_int("codim", entry["codim"]) != codim:
                 raise ValueError(
                     f"type {hn_type.pieces} has codimension {codim}, not {entry['codim']}"
                 )
-            types.append(hn_type)
-        payload = tuple(types)
+            rows.append((codim, hn_type))
+        payload = tuple(rows)
     else:
         raise ValueError(f"unknown document kind {kind!r}")
     return OutputDocument(

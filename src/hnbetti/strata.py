@@ -63,8 +63,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .exactalg import _Record, _ints
-from .genfun import _check_genus
+from .exactalg import _Record, _check_int, _ints
 
 
 def _as_pairs(items: Iterable) -> tuple[tuple[int, int], ...]:
@@ -165,7 +164,7 @@ def stratum_codim(hn_type: HNType, genus: int) -> int:
     r D - d R + (g - 1) r R, with (R, D) the sum of the earlier pieces, so one
     pass over running sums gives the sum over pairs.
     """
-    _check_genus(genus, 1)
+    _check_int("genus", genus, 1)
     total = rank_sum = degree_sum = 0
     for r, d in hn_type.pieces:
         total += r * degree_sum - d * rank_sum + (genus - 1) * r * rank_sum
@@ -176,22 +175,21 @@ def stratum_codim(hn_type: HNType, genus: int) -> int:
 
 def enumerate_types(
     rank: int, degree: int, genus: int, max_codim: int
-) -> list[HNType]:
+) -> list[tuple[int, HNType]]:
     """All proper types of the given rank and degree with codimension <= max_codim.
 
-    Proper means at least two pieces (the semistable stratum itself is not
-    listed).  Results are sorted by (codimension, pieces), so the list for a
-    smaller budget is a prefix of the list for a larger one; the walk emits
-    them in that order, bucketed by codimension (see the module docstring).
-    Genus 0 is rejected: see the module docstring for why the recursion needs
-    genus >= 1.
+    Each comes as a row (codimension, type), the codimension being the one
+    stratum_codim gives.  Proper means at least two pieces (the semistable
+    stratum itself is not listed).  Rows are sorted by (codimension, pieces),
+    so the list for a smaller budget is a prefix of the list for a larger one;
+    the walk emits them in that order, bucketed by codimension (see the module
+    docstring).  Genus 0 is rejected: see the module docstring for why the
+    recursion needs genus >= 1.
     """
-    _check_genus(genus, 1)
-    _ints((rank, degree, max_codim))
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if max_codim < 0:
-        raise ValueError("codimension budget must be nonnegative")
+    _check_int("genus", genus, 1)
+    _check_int("rank", rank, 1)
+    _check_int("degree", degree)
+    _check_int("codimension budget", max_codim, 0)
     g1 = genus - 1
     # Keyed by codimension, not a list of max_codim + 1 buckets: the budget
     # can be far larger than any codimension reached.
@@ -219,4 +217,4 @@ def enumerate_types(
     # this cap never binds at the top.
     walk(rank, degree, abs(degree) + max_codim + 1, 1, max_codim, 0, ())
     # Codimension 0 holds only the semistable type.
-    return [hn_type for codim in sorted(buckets)[1:] for hn_type in buckets[codim]]
+    return [(codim, hn_type) for codim in sorted(buckets)[1:] for hn_type in buckets[codim]]

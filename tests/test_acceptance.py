@@ -118,8 +118,9 @@ def test_criterion_5_stratification_additivity():
         order = 2 * dim_moduli(genus, rank) + 10
         memo = MemoStore()
         total = ss_series(ModuliQuery(genus, rank, degree, order), memo)
-        for hn_type in enumerate_types(rank, degree, genus, order // 2):
+        for codim, hn_type in enumerate_types(rank, degree, genus, order // 2):
             shift = 2 * stratum_codim(hn_type, genus)
+            assert shift == 2 * codim
             piece = stratum_series(genus, hn_type, order - shift, memo)
             total = total + piece.times_t_power(shift)
         closed = div_stable_series(genus, rank, order)
@@ -136,7 +137,7 @@ def test_criterion_6_enumeration_completeness():
         for degree in range(-3, 4):
             for budget in range(13):
                 got = {
-                    t.pieces for t in enumerate_types(rank, degree, 2, budget)
+                    t.pieces for _, t in enumerate_types(rank, degree, 2, budget)
                 }
                 assert got == brute_force_types(rank, degree, 2, budget)
                 checked += 1

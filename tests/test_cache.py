@@ -110,10 +110,12 @@ def test_concurrent_writers_on_one_cache_dir(tmp_path):
 
 @pytest.mark.parametrize(
     "field, index, value",
-    [("truncation", None, 4.0), ("coefficients", 2, 8.9), ("coefficients", 1, True)],
+    [("truncation", None, 4.0), ("coefficients", 2, 8.9), ("coefficients", 1, True),
+     ("genus", None, 2.0)],
 )
 def test_numbers_where_the_format_has_strings_are_a_miss(capsys, tmp_path, field, index, value):
-    # These were served as 4.0, 8 and 1: a changed stdout, and exit 0.
+    # These were served as 4.0, 8 and 1: a changed stdout, and exit 0.  A genus
+    # of 2.0 matched the key 2 and was served with exit 0 under --strict-cache.
     argv = ["ssseries", "--genus", "2", "--rank", "1", "--deg", "0", "--truncate", "4",
             "--strict-cache", "--cache-dir", str(tmp_path)]
     assert run(argv) == 0
@@ -130,6 +132,7 @@ def test_numbers_where_the_format_has_strings_are_a_miss(capsys, tmp_path, field
     out, err = capsys.readouterr()
     assert out == cold
     assert "cache warning: cache file ss_g2_r1_n0.json" in err
+    assert err.count("cache warning") == 1
 
 
 def test_one_file_per_key_holds_the_longest_series(tmp_path):

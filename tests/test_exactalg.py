@@ -203,6 +203,18 @@ def test_series_polynomial_prefix():
         s.polynomial_prefix(7)
 
 
+def test_negative_orders_are_rejected():
+    # truncate(-1) returned no coefficients under truncation_order -1, and
+    # polynomial_prefix(-1) returned the zero polynomial.
+    s = TruncatedSeries((1, 2, 3, 4, 5), 4)
+    with pytest.raises(ValueError, match="truncation order must be an integer >= 0"):
+        s.truncate(-1)
+    with pytest.raises(ValueError, match="prefix degree must be an integer >= 0"):
+        s.polynomial_prefix(-1)
+    with pytest.raises(ValueError, match="truncation order must be an integer >= 0"):
+        ExactPolynomial((1, 2)).as_series(-1)
+
+
 def test_series_addition_mixed_orders():
     a = TruncatedSeries((1, 1, 1), 2)
     b = TruncatedSeries((1, 0, 0, 7), 3)

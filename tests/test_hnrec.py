@@ -64,7 +64,8 @@ def test_ss_series_agrees_with_divisor_series_below_first_stratum():
         ss = ss_series(ModuliQuery(genus, rank, degree, order))
         div = div_stable_series(genus, rank, order)
         types = enumerate_types(rank, degree, genus, order)
-        first = min(2 * stratum_codim(t, genus) for t in types)
+        assert all(stratum_codim(t, genus) == codim for codim, t in types)
+        first = min(2 * stratum_codim(t, genus) for _, t in types)
         assert ss.coefficients[:first] == div.coefficients[:first]
         assert ss.coefficients[first] != div.coefficients[first]
 
@@ -336,8 +337,9 @@ def test_strata_recursion_matches_type_enumeration():
                         ModuliQuery(genus, rank, degree, order), memo
                     )
                     want = TruncatedSeries((0,) * (order + 1), order)
-                    for hn_type in enumerate_types(rank, degree, genus, order // 2):
+                    for codim, hn_type in enumerate_types(rank, degree, genus, order // 2):
                         shift = 2 * stratum_codim(hn_type, genus)
+                        assert shift == 2 * codim
                         piece = stratum_series(genus, hn_type, order - shift, memo)
                         want = want + piece.times_t_power(shift)
                     assert got.coefficients == want.coefficients, (genus, rank, degree, order)

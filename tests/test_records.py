@@ -115,13 +115,20 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
         (residue_series, (2, 2, 4.0)),
         (rank2_oracle, (2, 1, 4.0)),
         (div_finite_poly, (2, 2, 1, 1.0)),
+        (ExactPolynomial.monomial, (1.0,)),
+        (ExactPolynomial.from_terms, ({1.0: 1},)),
+        (pow, (ExactPolynomial((1, 1)), True)),
+        (TruncatedSeries((1, 2, 3, 4), 3).truncate, (2.0,)),
+        (TruncatedSeries((1, 2, 3, 4), 3).times_t_power, (1.0,)),
+        (ExactPolynomial((1, 2, 3)).coefficient, (1.0,)),
     ],
     ids=["HNType", "ShatzPolygon", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries",
          "TruncatedSeries-order", "ModuliQuery-rank", "ModuliQuery-degree",
          "ModuliQuery-truncation", "ModuliQuery-bool", "dim_moduli-rank", "dim_moduli-bool",
          "sym_product_poly-bool", "div_stable_series-bool", "rank2_oracle-degree",
          "div_stable_ranks-order", "residue_series-order", "rank2_oracle-order",
-         "div_finite_poly-twist"],
+         "div_finite_poly-twist", "monomial", "from_terms", "pow-bool", "truncate",
+         "times_t_power", "coefficient"],
 )
 def test_constructors_reject_non_integers(build, args):
     # int() would take 2.7 as 2, "3" as 3 and True as 1 without a word; the

@@ -35,7 +35,7 @@ def _docs():
         ),
         OutputDocument(
             "type-list",
-            (HNType(((1, 1), (1, 0))), HNType(((1, 2), (1, -1)))),
+            ((2, HNType(((1, 1), (1, 0)))), (4, HNType(((1, 2), (1, -1))))),
             genus=2,
             rank=2,
             degree=1,
@@ -130,7 +130,15 @@ def test_document_validation():
     with pytest.raises(ValueError):
         OutputDocument("polynomial", TruncatedSeries((1,), 0))
     with pytest.raises(ValueError):
-        OutputDocument("type-list", (HNType(((1, 0),)),))  # no genus
+        OutputDocument("type-list", ((0, HNType(((1, 0),))),))  # no genus
+    # Rows are (codim, HNType) pairs, and the metadata is ints or None.
+    for rows in ((HNType(((1, 0),)),), ((0.0, HNType(((1, 0),))),), ((True, HNType(((1, 0),))),),
+                 ((0, ((1, 0),)),), ((0, HNType(((1, 0),)), 1),)):
+        with pytest.raises(ValueError):
+            OutputDocument("type-list", rows, genus=2)
+    for metadata in ({"genus": "two"}, {"genus": 2.0}, {"rank": 2.5}, {"degree": True}):
+        with pytest.raises(ValueError, match="expected an integer"):
+            OutputDocument("polynomial", ExactPolynomial((1,)), **metadata)
 
 
 def test_json_roundtrip_every_kind():
@@ -238,7 +246,7 @@ def test_text_negative_and_zero_terms():
 def test_type_list_text():
     doc = OutputDocument(
         "type-list",
-        (HNType(((1, 1), (1, 0))), HNType(((1, 2), (1, -1)))),
+        ((2, HNType(((1, 1), (1, 0)))), (4, HNType(((1, 2), (1, -1))))),
         genus=2,
         rank=2,
         degree=1,
@@ -255,7 +263,7 @@ def test_latex_rendering():
     assert render_latex(
         OutputDocument("series", TruncatedSeries((1, 4), 1), genus=2, rank=1)
     ) == "1 + 4t + O(t^{2})"
-    doc = OutputDocument("type-list", (HNType(((1, 1), (1, 0))),), genus=2)
+    doc = OutputDocument("type-list", ((2, HNType(((1, 1), (1, 0)))),), genus=2)
     assert render_latex(doc) == "\\left[(1;1)(1;0)\\right]_{2}"
     assert render_latex(OutputDocument("type-list", (), genus=2)) == "\\varnothing"
 
@@ -270,7 +278,7 @@ def test_csv_rendering():
     ) == "0,1\n1,0\n2,0\n3,16"
     doc = OutputDocument(
         "type-list",
-        (HNType(((1, 1), (1, 0))), HNType(((1, 2), (1, -1)))),
+        ((2, HNType(((1, 1), (1, 0)))), (4, HNType(((1, 2), (1, -1))))),
         genus=2,
         rank=2,
         degree=1,
@@ -304,6 +312,8 @@ def test_parse_json_rejects_garbage():
         ("betti-report", ("dimension",), 5.0),
         ("betti-report", ("truncation",), True),
         ("type-list", ("types", 0, "codim"), 2.0),
+        ("betti-report", ("checks", "palindromic"), "no"),
+        ("betti-report", ("checks", "palindromic"), 1),
     ],
 )
 def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
@@ -319,8 +329,8 @@ def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
 
 
 def test_parse_json_rejects_a_wrong_codimension():
-    # Rendering recomputes each codimension, so a wrong one would otherwise be
-    # replaced silently: (1;1)(1;0) has codimension 2 at genus 2.
+    # Rendering writes the codimension it is given, so a wrong one would
+    # otherwise be passed on silently: (1;1)(1;0) has codimension 2 at genus 2.
     doc = next(d for d in _docs() if d.kind == "type-list" and d.payload)
     data = json.loads(render_json(doc))
     assert data["types"][0]["codim"] == 2

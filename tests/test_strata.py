@@ -148,7 +148,7 @@ def test_codim_running_sums_match_the_sum_over_pairs():
     for genus in (1, 2, 3):
         for rank in range(1, 8):
             for degree in range(-rank, rank + 1):
-                for t in enumerate_types(rank, degree, genus, 20):
+                for codim, t in enumerate_types(rank, degree, genus, 20):
                     pieces = t.pieces
                     pairwise = sum(
                         pieces[i][0] * pieces[j][1]
@@ -157,14 +157,15 @@ def test_codim_running_sums_match_the_sum_over_pairs():
                         for i in range(len(pieces))
                         for j in range(i)
                     )
-                    assert stratum_codim(t, genus) == pairwise, (genus, pieces)
+                    assert stratum_codim(t, genus) == pairwise == codim, (genus, pieces)
 
 
 def test_enumerate_examples():
     assert enumerate_types(1, 5, 2, 40) == []
     two = enumerate_types(2, 1, 2, 4)
-    assert [t.pieces for t in two] == [((1, 1), (1, 0)), ((1, 2), (1, -1))]
-    assert [t.pieces for t in enumerate_types(2, 0, 2, 3)] == [((1, 1), (1, -1))]
+    assert [t.pieces for _, t in two] == [((1, 1), (1, 0)), ((1, 2), (1, -1))]
+    assert [codim for codim, _ in two] == [2, 4]
+    assert [t.pieces for _, t in enumerate_types(2, 0, 2, 3)] == [((1, 1), (1, -1))]
 
 
 def test_enumerate_memory_does_not_grow_with_the_budget():
@@ -195,11 +196,11 @@ def test_enumerate_rejects_genus_zero():
 
 def test_enumerate_entries_are_valid():
     for rank, degree in ((2, 1), (3, -2), (4, 3)):
-        for t in enumerate_types(rank, degree, 2, 10):
+        for codim, t in enumerate_types(rank, degree, 2, 10):
             assert t.total_rank == rank
             assert t.total_degree == degree
             assert t.length >= 2
-            assert stratum_codim(t, 2) <= 10
+            assert stratum_codim(t, 2) == codim <= 10
 
 
 def test_enumerate_is_sorted_and_prefix_monotone():
@@ -208,7 +209,8 @@ def test_enumerate_is_sorted_and_prefix_monotone():
         for rank in range(1, 8):
             for degree in range(-rank, rank + 1):
                 big = enumerate_types(rank, degree, genus, 20)
-                keyed = [(stratum_codim(t, genus), t.pieces) for t in big]
+                keyed = [(stratum_codim(t, genus), t.pieces) for _, t in big]
+                assert [codim for codim, _ in keyed] == [codim for codim, _ in big]
                 assert keyed == sorted(keyed), (genus, rank, degree)
                 for budget in range(20):
                     within = sum(codim <= budget for codim, _ in keyed)
@@ -227,7 +229,7 @@ def test_enumerate_matches_brute_force():
                     for pieces in brute_force_types(rank, degree, genus, budgets[-1])
                 }
                 for budget in budgets:
-                    got = {t.pieces for t in enumerate_types(rank, degree, genus, budget)}
+                    got = {t.pieces for _, t in enumerate_types(rank, degree, genus, budget)}
                     want = {pieces for pieces, c in scanned.items() if c <= budget}
                     assert got == want, (genus, rank, degree, budget)
 
@@ -238,7 +240,7 @@ def test_enumerated_types_are_valid_through_the_public_constructor():
     for genus in (1, 2, 3):
         for rank in range(1, 7):
             for degree in range(rank):
-                for t in enumerate_types(rank, degree, genus, 20):
+                for _, t in enumerate_types(rank, degree, genus, 20):
                     assert HNType(t.pieces) == t
                     assert all(type(x) is int for piece in t.pieces for x in piece)
 
@@ -249,9 +251,9 @@ def test_enumerate_twist_bijection():
         base = enumerate_types(rank, degree, 3, budget)
         shifted = enumerate_types(rank, degree + rank, 3, budget)
         mapped = [
-            tuple((r, d + r) for r, d in t.pieces) for t in base
+            tuple((r, d + r) for r, d in t.pieces) for _, t in base
         ]
-        assert mapped == [t.pieces for t in shifted]
-        assert [stratum_codim(t, 3) for t in base] == [
-            stratum_codim(t, 3) for t in shifted
-        ]
+        assert mapped == [t.pieces for _, t in shifted]
+        assert [stratum_codim(t, 3) for _, t in base] == [
+            stratum_codim(t, 3) for _, t in shifted
+        ] == [codim for codim, _ in base] == [codim for codim, _ in shifted]
