@@ -233,8 +233,6 @@ class ExactPolynomial(_Record):
     def __mul__(self, other: Union["ExactPolynomial", int]):
         if isinstance(other, int):
             return ExactPolynomial(tuple(c * other for c in self.coefficients))
-        if isinstance(other, TruncatedSeries):
-            return NotImplemented
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         a, b = self.coefficients, other.coefficients

@@ -12,7 +12,10 @@ is the only curve invariant the formulas use, and it is passed as a plain int.
   degree degD, with degree n: a disjoint union of iterated symmetric-product
   bundles indexed by r-tuples (m_1, ..., m_r) of nonnegative integers summing
   to m = r*degD - n, giving the Poincare polynomial
-      sum over tuples of t^(2 * sum_i (i-1) m_i) * prod_i P(C^(m_i); t).
+      sum over tuples of t^(2 * sum_i (i-1) m_i) * prod_i P(C^(m_i); t),
+  which is [u^m] E(t, u) for E(t, u) = prod_{j=0..r-1} M(u t^(2j)), M the
+  Macdonald series above.  div_finite_poly multiplies the r factors, each
+  truncated at u^m, rather than enumerating the tuples.
 
 * The stable (ind-variety) series, independent of n:
       P(Div^(r); t) = prod_{j=1..r} (1 + t^(2j-1))^(2g)
@@ -37,23 +40,11 @@ built on them needs g >= 1 (see the strata module).
 
 from __future__ import annotations
 
-import functools
 from math import comb
-from typing import Iterator
 
 from .exactalg import ExactPolynomial, TruncatedSeries, _check_int
 
 
-def _one_plus_tpow(exponent: int) -> ExactPolynomial:
-    return ExactPolynomial.from_terms({0: 1, exponent: 1})
-
-
-def _one_minus_tpow(exponent: int) -> ExactPolynomial:
-    return ExactPolynomial.from_terms({0: 1, exponent: -1})
-
-
-# typed: a float genus equal to a cached int must still be rejected.
-@functools.lru_cache(maxsize=None, typed=True)
 def sym_product_poly(genus: int, points: int) -> ExactPolynomial:
     """Poincare polynomial of the m-fold symmetric product C^(m).
 
@@ -67,16 +58,6 @@ def sym_product_poly(genus: int, points: int) -> ExactPolynomial:
         for b in range(points - k + 1):
             coeffs[k + 2 * b] += c
     return ExactPolynomial(tuple(coeffs))
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # Ordered tuples of nonnegative integers, lexicographically ascending.
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def div_finite_poly(
@@ -97,14 +78,16 @@ def div_finite_poly(
         raise ValueError(
             f"empty variety: rank*twist - degree = {total} is negative"
         )
-    result = ExactPolynomial.zero()
-    for tup in _compositions(total, rank):
-        weight = sum(i * m for i, m in enumerate(tup))
-        term = ExactPolynomial.one()
-        for m in tup:
-            term = term * sym_product_poly(genus, m)
-        result = result + term * ExactPolynomial.monomial(2 * weight)
-    return result
+    # by_sum[k] is [u^k] of the product of the factors M(u t^(2j)) taken so far.
+    sym = [sym_product_poly(genus, k) for k in range(total + 1)]
+    by_sum = sym
+    for i in range(1, rank):
+        shifted = [p * ExactPolynomial.monomial(2 * i * k) for k, p in enumerate(sym)]
+        by_sum = [
+            sum((by_sum[k - j] * shifted[j] for j in range(k + 1)), ExactPolynomial.zero())
+            for k in range(total + 1)
+        ]
+    return by_sum[total]
 
 
 def div_stable_ranks(genus: int, rank: int, order: int) -> list[TruncatedSeries]:
@@ -157,9 +140,9 @@ def residue_series(genus: int, rank: int, order: int) -> TruncatedSeries:
     g2 = 2 * genus
     out = TruncatedSeries.one(order)
     for j in range(rank):
-        out = out * _one_plus_tpow(2 * j + 1) ** g2
+        out = out * ExactPolynomial.from_terms({0: 1, 2 * j + 1: 1}) ** g2
         for exp in (2 * j, 2 * j + 2):
             if exp == 0:
                 continue  # the removed pole
-            out = out * _one_minus_tpow(exp).inverse_series(order)
+            out = out * ExactPolynomial.from_terms({0: 1, exp: -1}).inverse_series(order)
     return out

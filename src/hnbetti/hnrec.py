@@ -190,7 +190,12 @@ class BettiChecks(_Record):
 
 
 class BettiReport(_Record):
-    """A verified Betti polynomial with its context.  checks is None when skipped."""
+    """A verified Betti polynomial with its context.  checks is None when skipped.
+
+    The fields are checked against each other, as betti_poly builds them:
+    dimension >= 1, truncation >= 2*dim and polynomial degree <= 2*dim.  A
+    report parsed from JSON is held to the same rule.
+    """
 
     __slots__ = ("polynomial", "moduli_dimension", "truncation_used", "checks")
 
@@ -201,6 +206,14 @@ class BettiReport(_Record):
         truncation_used: int,
         checks: Optional[BettiChecks],
     ) -> None:
+        if not isinstance(polynomial, ExactPolynomial):
+            raise ValueError(f"Betti polynomial must be an ExactPolynomial, got {polynomial!r}")
+        top = 2 * _check_int("dimension", moduli_dimension, 1)
+        _check_int("truncation", truncation_used, top)
+        if (polynomial.degree or 0) > top:
+            raise ValueError(f"Betti polynomial of degree {polynomial.degree} exceeds 2*dim = {top}")
+        if checks is not None and not isinstance(checks, BettiChecks):
+            raise ValueError(f"checks must be a BettiChecks or None, got {checks!r}")
         self._fill(polynomial, moduli_dimension, truncation_used, checks)
 
 

@@ -38,8 +38,9 @@ _PAYLOAD_TYPES = {
 class OutputDocument(_Record):
     """One renderable result plus the request metadata it answers.
 
-    genus, rank and degree are ints or None.  A type list needs its genus,
-    which parse_json checks each stated codimension against.
+    genus, rank and degree are ints or None, and version is a string.  A type
+    list needs its genus, which parse_json checks each stated codimension
+    against.
     """
 
     __slots__ = ("kind", "payload", "genus", "rank", "degree", "version")
@@ -57,6 +58,8 @@ class OutputDocument(_Record):
             raise ValueError(f"unknown document kind {kind!r}")
         if not isinstance(payload, _PAYLOAD_TYPES[kind]):
             raise ValueError(f"kind {kind!r} cannot carry a {type(payload).__name__}")
+        if not isinstance(version, str):
+            raise ValueError(f"version must be a string, got {version!r}")
         for name, value in (("genus", genus), ("rank", rank), ("degree", degree)):
             if value is not None:
                 _check_int(name, value)
@@ -220,8 +223,8 @@ def parse_json(text: str) -> OutputDocument:
         checks = data["checks"]
         payload = BettiReport(
             polynomial=ExactPolynomial(_coefficients(data["coefficients"])),
-            moduli_dimension=_check_int("dimension", data["dimension"]),
-            truncation_used=_check_int("truncation", data["truncation"]),
+            moduli_dimension=data["dimension"],
+            truncation_used=data["truncation"],
             checks=None if checks is None else BettiChecks(**checks),
         )
     elif kind == "type-list":

@@ -88,6 +88,43 @@ def test_div_finite_rejects_empty_range():
         div_finite_poly(2, 2, 0, -1)
 
 
+def _compositions(total, parts):
+    # Ordered tuples of nonnegative integers, lexicographically ascending.
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _div_finite_by_tuples(genus, rank, degree, twist):
+    """The finite-level polynomial as the sum over r-tuples, one tuple at a time."""
+    total = rank * twist - degree
+    sym = [sym_product_poly(genus, m) for m in range(total + 1)]
+    result = ExactPolynomial.zero()
+    for tup in _compositions(total, rank):
+        term = ExactPolynomial.monomial(2 * sum(i * m for i, m in enumerate(tup)))
+        for m in tup:
+            term = term * sym[m]
+        result = result + term
+    return result
+
+
+def test_div_finite_matches_the_sum_over_tuples():
+    cases = [
+        (genus, rank, degree, twist)
+        for genus in range(4)
+        for rank in range(1, 4)
+        for degree in range(-2, 4)
+        for twist in range(5)
+        if rank * twist - degree >= 0
+    ]
+    cases += [(2, 4, 1, 3), (0, 4, -2, 2), (3, 4, 3, 2)]
+    for case in cases:
+        assert div_finite_poly(*case) == _div_finite_by_tuples(*case), case
+
+
 def test_div_stable_examples():
     assert div_stable_series(2, 1, 5).coefficients == (1, 4, 7, 8, 8, 8)
     assert div_stable_series(2, 2, 3).coefficients == (1, 4, 8, 16)
@@ -138,6 +175,23 @@ def test_div_finite_stabilizes_to_stable_series():
             ):
                 deviated = True
         assert deviated, "stabilization bound should be active somewhere"
+
+
+@pytest.mark.parametrize("rank", (4, 5))
+def test_div_finite_stabilizes_at_higher_rank(rank):
+    # As above, at ranks where the sum over r-tuples has thousands of terms.
+    deviated = False
+    for twist in range(2, 7):
+        total = rank * twist - 1
+        finite = div_finite_poly(2, rank, 1, twist)
+        stable = div_stable_series(2, rank, 2 * total)
+        for i in range(total):
+            assert finite.coefficient(i) == stable.coefficient(i)
+        deviated |= any(
+            finite.coefficient(i) != stable.coefficient(i)
+            for i in range(total, 2 * total + 1)
+        )
+    assert deviated, "stabilization bound should be active somewhere"
 
 
 def test_div_finite_coefficients_grow_with_twist():

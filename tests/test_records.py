@@ -94,6 +94,23 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("moduli_dimension", 0, "dimension must be an integer >= 1"),
+        ("truncation_used", 1, "truncation must be an integer >= 2"),
+        ("polynomial", ExactPolynomial((1, 2, 1, 1)), "degree 3 exceeds 2[*]dim = 2"),
+        ("polynomial", TruncatedSeries((1, 2, 1), 2), "must be an ExactPolynomial"),
+        ("checks", CHECKS, "must be a BettiChecks or None"),
+    ],
+    ids=["dimension-0", "truncation-below-2dim", "degree-above-2dim", "series", "checks-dict"],
+)
+def test_betti_report_fields_must_agree(field, value, match):
+    # A report whose fields contradict each other would render as if it held.
+    with pytest.raises(ValueError, match=match):
+        BettiReport(**{**REPORT, field: value})
+
+
+@pytest.mark.parametrize(
     "build, args",
     [
         (HNType, ([(1.9, 2.7), (1, 0)],)),

@@ -314,6 +314,9 @@ def test_parse_json_rejects_garbage():
         ("type-list", ("types", 0, "codim"), 2.0),
         ("betti-report", ("checks", "palindromic"), "no"),
         ("betti-report", ("checks", "palindromic"), 1),
+        ("betti-report", ("dimension",), -5),
+        ("betti-report", ("truncation",), 3),
+        ("betti-report", ("version",), 5),
     ],
 )
 def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
