@@ -5,61 +5,59 @@ stratified by Harder-Narasimhan type; a recursion peels off the unstable
 strata to isolate the semistable locus; for coprime rank and degree, one
 factor of (1 - t^2) collapses the series to the Betti polynomial of the
 moduli space N(rank, degree).  All arithmetic is exact integer arithmetic.
+
+Submodules load on first use, so a process loads only the layers it touches;
+``hnbetti.render`` is the render module, whose function is ``render.render``.
 """
 
-from ._version import __version__
-from .exactalg import ExactPolynomial, InexactDivisionError, TruncatedSeries
-from .genfun import (
-    div_finite_poly,
-    div_stable_series,
-    residue_series,
-    sym_product_poly,
-)
-from .hnrec import (
-    BettiChecks,
-    BettiReport,
-    MemoStore,
-    ModuliQuery,
-    StructuralCheckError,
-    TRUNCATION_SLACK,
-    betti_poly,
-    dim_moduli,
-    rank2_oracle,
-    ss_series,
-    stratum_series,
-)
-from .render import OutputDocument, parse_json, render, render_csv, render_json, render_latex, render_text
-from .strata import HNType, ShatzPolygon, enumerate_types, stratum_codim
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "BettiChecks",
-    "BettiReport",
-    "ExactPolynomial",
-    "HNType",
-    "InexactDivisionError",
-    "MemoStore",
-    "ModuliQuery",
-    "OutputDocument",
-    "ShatzPolygon",
-    "StructuralCheckError",
-    "TRUNCATION_SLACK",
-    "TruncatedSeries",
-    "betti_poly",
-    "dim_moduli",
-    "div_finite_poly",
-    "div_stable_series",
-    "enumerate_types",
-    "parse_json",
-    "rank2_oracle",
-    "render",
-    "render_csv",
-    "render_json",
-    "render_latex",
-    "render_text",
-    "residue_series",
-    "ss_series",
-    "stratum_codim",
-    "stratum_series",
-    "sym_product_poly",
-]
+from ._version import __version__
+
+# Each public name, by the submodule that defines it.
+_HOMES = {
+    "exactalg": ("ExactPolynomial", "InexactDivisionError", "TruncatedSeries"),
+    "genfun": (
+        "div_finite_poly",
+        "div_stable_series",
+        "residue_series",
+        "sym_product_poly",
+    ),
+    "hnrec": (
+        "BettiChecks",
+        "BettiReport",
+        "MemoStore",
+        "ModuliQuery",
+        "StructuralCheckError",
+        "TRUNCATION_SLACK",
+        "betti_poly",
+        "dim_moduli",
+        "rank2_oracle",
+        "ss_series",
+        "stratum_series",
+    ),
+    "render": (
+        "OutputDocument",
+        "parse_json",
+        "render_csv",
+        "render_json",
+        "render_latex",
+        "render_text",
+    ),
+    "strata": ("HNType", "ShatzPolygon", "enumerate_types", "stratum_codim"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = ["__version__", "render", *_HOME_OF]
+
+
+def __getattr__(name: str) -> object:
+    if name in _HOMES:
+        # Importing a submodule binds it here as a package attribute.
+        return import_module(f"{__name__}.{name}")
+    home = _HOME_OF.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value

@@ -19,6 +19,8 @@ Output for a given command line is byte-deterministic, warm or cold cache.
 
 _execute builds one OutputDocument per command; every command but sympoly
 (genus, points) and divseries (genus, rank) carries (genus, rank, deg).
+Each command imports only the modules it runs, after its arguments parse, so
+--version, --help and a usage error load no layer of the library.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._version import __version__
-from .genfun import div_finite_poly, div_stable_series, sym_product_poly
-from .hnrec import MemoStore, ModuliQuery, StructuralCheckError, betti_poly, ss_series
-from .render import OutputDocument, render
-from .strata import enumerate_types
+
+if TYPE_CHECKING:
+    from .hnrec import MemoStore
+    from .render import OutputDocument
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -132,20 +134,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute(args: argparse.Namespace, memo: MemoStore) -> OutputDocument:
+def _execute(args: argparse.Namespace, memo: Optional[MemoStore]) -> OutputDocument:
+    from .render import OutputDocument
+
     if args.command == "sympoly":
+        from .genfun import sym_product_poly
+
         poly = sym_product_poly(args.genus, args.points)
         return OutputDocument("polynomial", poly, genus=args.genus, degree=args.points)
     if args.command == "divseries":
+        from .genfun import div_stable_series
+
         series = div_stable_series(args.genus, args.rank, args.truncate)
         return OutputDocument("series", series, genus=args.genus, rank=args.rank)
     if args.command == "divpoly":
+        from .genfun import div_finite_poly
+
         kind = "polynomial"
         payload = div_finite_poly(args.genus, args.rank, args.deg, args.twist)
     elif args.command == "polygons":
+        from .strata import enumerate_types
+
         kind = "type-list"
         payload = tuple(enumerate_types(args.rank, args.deg, args.genus, args.max_codim))
     elif args.command == "ssseries":
+        from .hnrec import ModuliQuery, ss_series
+
         kind = "series"
         payload = ss_series(ModuliQuery(args.genus, args.rank, args.deg, args.truncate), memo)
     else:
@@ -154,6 +168,8 @@ def _execute(args: argparse.Namespace, memo: MemoStore) -> OutputDocument:
                 "--skip-checks drops the structural guarantees; pass --unsafe as well "
                 "to confirm"
             )
+        from .hnrec import ModuliQuery, betti_poly
+
         kind = "betti-report"
         payload = betti_poly(
             ModuliQuery(args.genus, args.rank, args.deg, args.truncate),
@@ -170,22 +186,31 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cache_dir = args.cache_dir or os.environ.get("HNBETTI_CACHE_DIR") or None
-    memo = MemoStore(cache_dir)
+    # Only ssseries and betti keep a memo and run structural checks.  For the
+    # rest, check_failure is an empty tuple of exception types: it catches nothing.
+    memo, check_failure = None, ()
+    if args.command in ("ssseries", "betti"):
+        from .hnrec import MemoStore, StructuralCheckError
+
+        memo = MemoStore(args.cache_dir or os.environ.get("HNBETTI_CACHE_DIR") or None)
+        check_failure = StructuralCheckError
     try:
         doc = _execute(args, memo)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except StructuralCheckError as exc:
+    except check_failure as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
         for key, value in exc.diagnostic.items():
             print(f"  {key}: {value}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    from .render import render
+
     print(render(doc, args.format))
-    for warning in memo.warnings:
+    warnings = memo.warnings if memo is not None else []
+    for warning in warnings:
         print(f"cache warning: {warning}", file=sys.stderr)
-    if memo.warnings and args.strict_cache:
+    if warnings and args.strict_cache:
         return EXIT_CACHE
     return EXIT_OK
 

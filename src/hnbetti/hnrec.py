@@ -126,11 +126,13 @@ import math
 import os
 import threading
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .exactalg import ExactPolynomial, TruncatedSeries, _Record, _check_int
 from .genfun import div_stable_ranks
-from .strata import HNType
+
+if TYPE_CHECKING:
+    from .strata import HNType
 
 TRUNCATION_SLACK = 10
 
@@ -308,7 +310,7 @@ class MemoStore:
     def _load_file(
         self, genus: int, rank: int, degree: int, order: int
     ) -> Optional[TruncatedSeries]:
-        from .render import parse_json  # deferred: render depends on this module
+        from .render import parse_json  # deferred: only the disk cache needs render
 
         name = self._file_name(genus, rank, degree)
         try:

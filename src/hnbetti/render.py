@@ -18,20 +18,23 @@ the renderers write the codimensions they are given and compute none.
 from __future__ import annotations
 
 import json
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from ._version import __version__
 from .exactalg import ExactPolynomial, TruncatedSeries, _Record, _check_int
-from .hnrec import BettiChecks, BettiReport
-from .strata import HNType, stratum_codim
+
+if TYPE_CHECKING:
+    from .hnrec import BettiChecks
 
 KINDS = ("polynomial", "series", "type-list", "betti-report")
 
+# The betti-report payload, hnrec's BettiReport, is imported only when a report
+# document is built, and HNType only when a type list is, so that rendering
+# other kinds loads neither hnrec nor strata.
 _PAYLOAD_TYPES = {
     "polynomial": ExactPolynomial,
     "series": TruncatedSeries,
     "type-list": tuple,
-    "betti-report": BettiReport,
 }
 
 
@@ -56,7 +59,13 @@ class OutputDocument(_Record):
     ) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown document kind {kind!r}")
-        if not isinstance(payload, _PAYLOAD_TYPES[kind]):
+        if kind == "betti-report":
+            from .hnrec import BettiReport
+
+            payload_type: type = BettiReport
+        else:
+            payload_type = _PAYLOAD_TYPES[kind]
+        if not isinstance(payload, payload_type):
             raise ValueError(f"kind {kind!r} cannot carry a {type(payload).__name__}")
         if not isinstance(version, str):
             raise ValueError(f"version must be a string, got {version!r}")
@@ -64,6 +73,8 @@ class OutputDocument(_Record):
             if value is not None:
                 _check_int(name, value)
         if kind == "type-list":
+            from .strata import HNType
+
             if genus is None:
                 raise ValueError("type lists need genus metadata for codimensions")
             for row in payload:
@@ -220,6 +231,8 @@ def parse_json(text: str) -> OutputDocument:
         coeffs = _coefficients(data["coefficients"])
         payload = TruncatedSeries(coeffs, _check_int("truncation", data["truncation"]))
     elif kind == "betti-report":
+        from .hnrec import BettiChecks, BettiReport
+
         checks = data["checks"]
         payload = BettiReport(
             polynomial=ExactPolynomial(_coefficients(data["coefficients"])),
@@ -228,6 +241,8 @@ def parse_json(text: str) -> OutputDocument:
             checks=None if checks is None else BettiChecks(**checks),
         )
     elif kind == "type-list":
+        from .strata import HNType, stratum_codim
+
         rows = []
         for entry in data["types"]:
             hn_type = HNType(entry["pieces"])

@@ -216,5 +216,8 @@ def enumerate_types(
     # A first piece with c1 <= max_codim has slope at most D/R + max_codim, so
     # this cap never binds at the top.
     walk(rank, degree, abs(degree) + max_codim + 1, 1, max_codim, 0, ())
+    # walk holds itself through its closure cell: clear the cell, or walk,
+    # buckets and every type in them live on as cyclic garbage until a GC pass.
+    del walk
     # Codimension 0 holds only the semistable type.
     return [(codim, hn_type) for codim in sorted(buckets)[1:] for hn_type in buckets[codim]]

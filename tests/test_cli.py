@@ -268,10 +268,127 @@ def test_exit_2_on_bad_genus(capsys, argv):
     assert "genus" in err
 
 
+def _fresh_python(code, *args):
+    """Stdout of code run in a new interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hnbetti.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    return result.stdout
+
+
+# Runs `python -m hnbetti ARGS` through runpy, then prints the hnbetti modules
+# loaded and whether dataclasses or inspect came with them.  runpy runs
+# __main__.py as __main__, as `python -m` does, so hnbetti.__main__ is never
+# listed.
+_LOADED_BY_COMMAND = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["hnbetti", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("hnbetti", run_name="__main__")
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("hnbetti", "dataclasses", "inspect"))))
+"""
+
+_START = ["hnbetti", "hnbetti._version", "hnbetti.cli"]
+_POLYNOMIALS = _START + ["hnbetti.exactalg", "hnbetti.genfun", "hnbetti.render"]
+_SEMISTABLE = _POLYNOMIALS + ["hnbetti.hnrec"]
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Both cost every process start-up time; inspect comes with dataclasses.
-    env = dict(os.environ, PYTHONPATH=str(Path(hnbetti.__file__).resolve().parent.parent))
-    code = "import sys, hnbetti.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout == "[]\n"
+    # Each command also loads only the modules it runs: the package is
+    # compiled from source when bytecode is not written, so every module
+    # loaded costs every process.
+    cases = [
+        (["--version"], _START),
+        (["--help"], _START),
+        (["polygons", "--genus", "2"], _START),  # a usage error
+        (["polygons", "--genus", "2", "--rank", "3", "--deg", "1", "--max-codim", "4"],
+         _START + ["hnbetti.exactalg", "hnbetti.render", "hnbetti.strata"]),
+        (["sympoly", "--genus", "2", "--points", "2"], _POLYNOMIALS),
+        (["divpoly", "--genus", "2", "--rank", "2", "--deg", "1", "--twist", "1"], _POLYNOMIALS),
+        (["divseries", "--genus", "2", "--rank", "2", "--truncate", "4"], _POLYNOMIALS),
+        (["ssseries", "--genus", "2", "--rank", "2", "--deg", "1", "--truncate", "4"],
+         _SEMISTABLE),
+        (["betti", "--genus", "2", "--rank", "2", "--deg", "1"], _SEMISTABLE),
+    ]
+    for argv, expected in cases:
+        loaded = json.loads(_fresh_python(_LOADED_BY_COMMAND, *argv))
+        assert loaded == sorted(expected), argv
+    everything = "import sys; from hnbetti import *; " \
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_python(everything) == "[]\n"
+
+
+# The home module of each name in hnbetti.__all__ but "render", which is the
+# render module itself.
+_HOMES = {
+    "__version__": "_version",
+    "BettiChecks": "hnrec",
+    "BettiReport": "hnrec",
+    "ExactPolynomial": "exactalg",
+    "HNType": "strata",
+    "InexactDivisionError": "exactalg",
+    "MemoStore": "hnrec",
+    "ModuliQuery": "hnrec",
+    "OutputDocument": "render",
+    "ShatzPolygon": "strata",
+    "StructuralCheckError": "hnrec",
+    "TRUNCATION_SLACK": "hnrec",
+    "TruncatedSeries": "exactalg",
+    "betti_poly": "hnrec",
+    "dim_moduli": "hnrec",
+    "div_finite_poly": "genfun",
+    "div_stable_series": "genfun",
+    "enumerate_types": "strata",
+    "parse_json": "render",
+    "rank2_oracle": "hnrec",
+    "render_csv": "render",
+    "render_json": "render",
+    "render_latex": "render",
+    "render_text": "render",
+    "residue_series": "genfun",
+    "ss_series": "hnrec",
+    "stratum_codim": "strata",
+    "stratum_series": "hnrec",
+    "sym_product_poly": "genfun",
+}
+
+# Imports one module first, then prints every name of hnbetti.__all__ that is
+# not the object its home module holds, and where hnbetti.render is not the
+# render module.
+_NAMES_AFTER_IMPORT = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+import hnbetti
+homes = json.loads(sys.argv[2])
+wrong = sorted(set(hnbetti.__all__) ^ {"render", *homes})
+def check_render(where):
+    render_module = importlib.import_module("hnbetti.render")
+    if hnbetti.render is not render_module:
+        wrong.append("render " + where)
+check_render("first")
+for name, home in homes.items():
+    if getattr(hnbetti, name) is not getattr(importlib.import_module("hnbetti." + home), name):
+        wrong.append(name)
+check_render("last")
+import hnbetti.render as render_module
+from hnbetti import *
+if render is not render_module or render_module is not sys.modules["hnbetti.render"]:
+    wrong.append("render imported by name")
+print(json.dumps(wrong))
+"""
+
+
+@pytest.mark.parametrize(
+    "first", ["hnbetti", "hnbetti.exactalg", "hnbetti.genfun", "hnbetti.strata",
+              "hnbetti.hnrec", "hnbetti.render", "hnbetti.cli"],
+)
+def test_package_names_are_their_home_objects_in_any_import_order(first):
+    # Submodules load on first use, and hnbetti.render is the submodule
+    # whichever module loads first.
+    wrong = json.loads(_fresh_python(_NAMES_AFTER_IMPORT, first, json.dumps(_HOMES)))
+    assert wrong == []

@@ -1,5 +1,6 @@
 """Harder-Narasimhan types, polygons, codimension, bounded enumeration."""
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -179,6 +180,20 @@ def test_enumerate_memory_does_not_grow_with_the_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_enumerate_leaves_no_cyclic_garbage():
+    # The recursive walk must not keep its buckets of types alive in a
+    # reference cycle once the list is returned and dropped.
+    gc.collect()
+    gc.disable()
+    try:
+        rows = enumerate_types(4, 1, 2, 12)
+        assert len(rows) == 9
+        del rows
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_rejects_genus_zero():
