@@ -366,19 +366,17 @@ importlib.import_module(sys.argv[1])
 import hnbetti
 homes = json.loads(sys.argv[2])
 wrong = sorted(set(hnbetti.__all__) ^ {"render", *homes})
-def check_render(where):
-    render_module = importlib.import_module("hnbetti.render")
-    if hnbetti.render is not render_module:
-        wrong.append("render " + where)
-check_render("first")
+render_first = hnbetti.render
 for name, home in homes.items():
     if getattr(hnbetti, name) is not getattr(importlib.import_module("hnbetti." + home), name):
         wrong.append(name)
-check_render("last")
-import hnbetti.render as render_module
+import hnbetti.render as render_as
 from hnbetti import *
-if render is not render_module or render_module is not sys.modules["hnbetti.render"]:
-    wrong.append("render imported by name")
+render_module = sys.modules["hnbetti.render"]
+for way, value in [("first", render_first), ("last", hnbetti.render), ("as", render_as),
+                   ("star", render)]:
+    if value is not render_module:
+        wrong.append("render " + way)
 print(json.dumps(wrong))
 """
 
