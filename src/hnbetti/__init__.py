@@ -44,7 +44,7 @@ _HOMES = {
         "render_latex",
         "render_text",
     ),
-    "strata": ("HNType", "ShatzPolygon", "enumerate_types", "stratum_codim"),
+    "strata": ("HNType", "enumerate_types", "stratum_codim"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

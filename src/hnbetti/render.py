@@ -43,7 +43,8 @@ class OutputDocument(_Record):
 
     genus, rank and degree are ints or None, and version is a string.  A type
     list needs its genus, which parse_json checks each stated codimension
-    against.
+    against; it also checks that each type is proper and sums to the rank
+    and degree, where they are stated.
     """
 
     __slots__ = ("kind", "payload", "genus", "rank", "degree", "version")
@@ -243,9 +244,17 @@ def parse_json(text: str) -> OutputDocument:
     elif kind == "type-list":
         from .strata import HNType, stratum_codim
 
+        rank, degree = data["rank"], data["degree"]
         rows = []
         for entry in data["types"]:
             hn_type = HNType(entry["pieces"])
+            # A type list holds proper types of its stated rank and degree.
+            pieces = hn_type.pieces
+            rank_sum, degree_sum = map(sum, zip(*pieces))
+            if len(pieces) < 2 or rank not in (None, rank_sum) or degree not in (None, degree_sum):
+                raise ValueError(
+                    f"type {pieces} is not a proper type of rank {rank} and degree {degree}"
+                )
             # Rendering writes the codimension it is given, so a wrong one
             # would be passed on without a word.
             codim = stratum_codim(hn_type, data["genus"])

@@ -1,12 +1,11 @@
-"""Harder-Narasimhan types, Shatz polygons, and bounded stratum enumeration.
+"""Harder-Narasimhan types, their codimensions, and bounded stratum enumeration.
 
 A Harder-Narasimhan type of total rank r and degree n is a sequence of pieces
 (r'_1, d'_1), ..., (r'_l, d'_l) with positive ranks summing to r, degrees
 summing to n, and strictly decreasing slopes d'_i / r'_i.  Slope comparisons
 are done by cross-multiplication only; no rational arithmetic ever enters.
-The equivalent Shatz polygon records the partial sums as vertices from (0, 0)
-to (r, n); strictly decreasing slopes of the type are exactly strict convexity
-(from above) of the polygon.
+A type is the same data as its Shatz polygon, whose vertices are the partial
+sums from (0, 0) to (r, n).
 
 The codimension of the stratum labelled by a type, inside the degree-n rank-r
 matrix-divisor ind-variety over a genus-g curve, is the integer
@@ -63,15 +62,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .exactalg import _Record, _check_int, _ints
-
-
-def _as_pairs(items: Iterable) -> tuple[tuple[int, int], ...]:
-    out = []
-    for item in items:
-        a, b = _ints(item)
-        out.append((a, b))
-    return tuple(out)
+from .exactalg import _Record, _check_int
 
 
 class HNType(_Record):
@@ -83,78 +74,25 @@ class HNType(_Record):
     __slots__ = ("pieces",)
 
     def __init__(self, pieces: Iterable) -> None:
-        pieces = _as_pairs(pieces)
-        if not pieces:
-            raise ValueError("a type needs at least one piece")
-        for i, (r, _) in enumerate(pieces):
+        checked: list[tuple[int, int]] = []
+        for i, piece in enumerate(pieces):
+            try:
+                r, d = piece
+            except (TypeError, ValueError):
+                raise ValueError(f"piece {i} must be a pair of ints, got {piece!r}") from None
+            if type(r) is not int or type(d) is not int:
+                raise ValueError(
+                    f"piece {i} must be a pair of ints: expected an integer, got {piece!r}"
+                )
             if r < 1:
                 raise ValueError(f"piece {i} has nonpositive rank {r}")
-        for i in range(len(pieces) - 1):
-            r_hi, d_hi = pieces[i]
-            r_lo, d_lo = pieces[i + 1]
-            # d_hi / r_hi > d_lo / r_lo, by cross-multiplication.
-            if d_hi * r_lo <= d_lo * r_hi:
-                raise ValueError(
-                    f"slopes must strictly decrease: violated at piece {i + 1}"
-                )
-        self._fill(pieces)
-
-    @property
-    def length(self) -> int:
-        return len(self.pieces)
-
-    @property
-    def total_rank(self) -> int:
-        return sum(r for r, _ in self.pieces)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(d for _, d in self.pieces)
-
-    def to_polygon(self) -> "ShatzPolygon":
-        vertices = [(0, 0)]
-        r_acc = d_acc = 0
-        for r, d in self.pieces:
-            r_acc += r
-            d_acc += d
-            vertices.append((r_acc, d_acc))
-        return ShatzPolygon(tuple(vertices))
-
-
-class ShatzPolygon(_Record):
-    """Vertex form of a type: partial-sum points from (0, 0), strictly convex."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: Iterable) -> None:
-        vertices = _as_pairs(vertices)
-        if len(vertices) < 2:
-            raise ValueError("a polygon needs at least two vertices")
-        if vertices[0] != (0, 0):
-            raise ValueError(f"polygon must start at (0, 0), got {vertices[0]}")
-        for i in range(len(vertices) - 1):
-            if vertices[i + 1][0] <= vertices[i][0]:
-                raise ValueError(
-                    f"vertex ranks must strictly increase: violated at vertex {i + 1}"
-                )
-        for i in range(len(vertices) - 2):
-            r0, d0 = vertices[i]
-            r1, d1 = vertices[i + 1]
-            r2, d2 = vertices[i + 2]
-            # Edge slopes must strictly decrease (strict convexity from above).
-            if (d1 - d0) * (r2 - r1) <= (d2 - d1) * (r1 - r0):
-                raise ValueError(
-                    f"polygon must be strictly convex: violated at vertex {i + 1}"
-                )
-        self._fill(vertices)
-
-    def to_type(self) -> HNType:
-        pieces = []
-        for i in range(len(self.vertices) - 1):
-            r0, d0 = self.vertices[i]
-            r1, d1 = self.vertices[i + 1]
-            pieces.append((r1 - r0, d1 - d0))
-        return HNType(tuple(pieces))
+            # The previous piece's slope exceeds d / r, by cross-multiplication.
+            if checked and checked[-1][1] * r <= d * checked[-1][0]:
+                raise ValueError(f"slopes must strictly decrease: violated at piece {i}")
+            checked.append((r, d))
+        if not checked:
+            raise ValueError("a type needs at least one piece")
+        self._fill(tuple(checked))
 
 
 def stratum_codim(hn_type: HNType, genus: int) -> int:

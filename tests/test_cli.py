@@ -335,7 +335,6 @@ _HOMES = {
     "MemoStore": "hnrec",
     "ModuliQuery": "hnrec",
     "OutputDocument": "render",
-    "ShatzPolygon": "strata",
     "StructuralCheckError": "hnrec",
     "TRUNCATION_SLACK": "hnrec",
     "TruncatedSeries": "exactalg",

@@ -17,7 +17,7 @@ from hnbetti.genfun import (
 )
 from hnbetti.hnrec import BettiChecks, BettiReport, MemoStore, ModuliQuery, dim_moduli, rank2_oracle
 from hnbetti.render import OutputDocument, parse_json, render_json
-from hnbetti.strata import HNType, ShatzPolygon
+from hnbetti.strata import HNType
 
 CHECKS = {"tail_vanishes": True, "degree_matches_2dim": True, "palindromic": True,
           "nonnegative": False}
@@ -29,7 +29,6 @@ RECORDS = {
     ExactPolynomial: {"coefficients": (1, 0, 2)},
     TruncatedSeries: {"coefficients": (1, 4, 8), "truncation_order": 2},
     HNType: {"pieces": ((1, 1), (1, 0))},
-    ShatzPolygon: {"vertices": ((0, 0), (1, 1), (2, 1))},
     ModuliQuery: {"genus": 2, "rank": 3, "degree": 1, "truncation": 30},
     BettiChecks: CHECKS,
     BettiReport: REPORT,
@@ -114,7 +113,6 @@ def test_betti_report_fields_must_agree(field, value, match):
     "build, args",
     [
         (HNType, ([(1.9, 2.7), (1, 0)],)),
-        (ShatzPolygon, ([(0, 0), (1, 2.5)],)),
         (ExactPolynomial, ((1.5, 2.9),)),
         (ExactPolynomial, ((1, True),)),
         (TruncatedSeries, (("3", 2.2), 1)),
@@ -139,7 +137,7 @@ def test_betti_report_fields_must_agree(field, value, match):
         (TruncatedSeries((1, 2, 3, 4), 3).times_t_power, (1.0,)),
         (ExactPolynomial((1, 2, 3)).coefficient, (1.0,)),
     ],
-    ids=["HNType", "ShatzPolygon", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries",
+    ids=["HNType", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries",
          "TruncatedSeries-order", "ModuliQuery-rank", "ModuliQuery-degree",
          "ModuliQuery-truncation", "ModuliQuery-bool", "dim_moduli-rank", "dim_moduli-bool",
          "sym_product_poly-bool", "div_stable_series-bool", "rank2_oracle-degree",

@@ -317,6 +317,7 @@ def test_parse_json_rejects_garbage():
         ("betti-report", ("dimension",), -5),
         ("betti-report", ("truncation",), 3),
         ("betti-report", ("version",), 5),
+        ("type-list", ("types", 0, "pieces"), [1, 2]),
     ],
 )
 def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
@@ -339,4 +340,23 @@ def test_parse_json_rejects_a_wrong_codimension():
     assert data["types"][0]["codim"] == 2
     data["types"][0]["codim"] = 99
     with pytest.raises(ValueError, match="codimension 2, not 99"):
+        parse_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "rank, degree, types",
+    [
+        (4, 1, [{"codim": 2, "pieces": [[1, 1], [1, 0]]}, {"codim": 0, "pieces": [[4, 1]]}]),
+        (2, 3, [{"codim": 2, "pieces": [[1, 1], [1, 0]]}]),
+        (4, 1, [{"codim": 0, "pieces": [[4, 1]]}]),
+    ],
+    ids=["rank", "degree", "semistable"],
+)
+def test_parse_json_rejects_types_that_contradict_the_document(rank, degree, types):
+    # A type list holds proper types of its stated rank and degree, and every
+    # codimension here is the one its pieces give at genus 2.
+    doc = next(d for d in _docs() if d.kind == "type-list" and d.payload)
+    data = json.loads(render_json(doc))
+    data.update(rank=rank, degree=degree, types=types)
+    with pytest.raises(ValueError, match=f"not a proper type of rank {rank} and degree {degree}"):
         parse_json(json.dumps(data))

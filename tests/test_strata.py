@@ -1,4 +1,4 @@
-"""Harder-Narasimhan types, polygons, codimension, bounded enumeration."""
+"""Harder-Narasimhan types, codimension, bounded enumeration."""
 
 import gc
 import itertools
@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnbetti.strata import HNType, ShatzPolygon, enumerate_types, stratum_codim
+from hnbetti.strata import HNType, enumerate_types, stratum_codim
 
 
 def brute_force_types(rank, degree, genus, max_codim):
@@ -81,38 +81,11 @@ def test_type_validation():
     # Equal slopes with different ranks are still a violation.
     with pytest.raises(ValueError):
         HNType(((2, 2), (1, 1)))
-
-
-def test_type_totals():
-    t = HNType(((2, 3), (1, 0), (1, -2)))
-    assert t.total_rank == 4
-    assert t.total_degree == 1
-    assert t.length == 3
-
-
-def test_polygon_roundtrip():
-    t = HNType(((1, 2), (2, 1), (1, -1)))
-    polygon = t.to_polygon()
-    assert polygon.vertices == ((0, 0), (1, 2), (3, 3), (4, 2))
-    assert polygon.to_type() == t
-
-
-def test_polygon_validation():
-    with pytest.raises(ValueError, match="start"):
-        ShatzPolygon(((1, 0), (2, 1)))
-    with pytest.raises(ValueError, match="vertex 1"):
-        ShatzPolygon(((0, 0), (0, 1)))
-    with pytest.raises(ValueError, match="convex"):
-        ShatzPolygon(((0, 0), (1, 1), (2, 2)))
-    with pytest.raises(ValueError):
-        ShatzPolygon(((0, 0),))
-
-
-def test_roundtrip_random():
-    rng = random.Random(11)
-    for _ in range(100):
-        t = _random_type(rng)
-        assert t.to_polygon().to_type() == t
+    # Each piece is a pair of ints, and the error names the piece.
+    for pieces, index in (([1, 2], 0), ([(1, 2, 3), (1, 0)], 0), ([(1, 1), (1,)], 1),
+                          ([(1, 1), (1, 0.0)], 1), ([(2, 1), None], 1)):
+        with pytest.raises(ValueError, match=f"piece {index} must be a"):
+            HNType(pieces)
 
 
 def test_codim_examples():
@@ -212,9 +185,9 @@ def test_enumerate_rejects_genus_zero():
 def test_enumerate_entries_are_valid():
     for rank, degree in ((2, 1), (3, -2), (4, 3)):
         for codim, t in enumerate_types(rank, degree, 2, 10):
-            assert t.total_rank == rank
-            assert t.total_degree == degree
-            assert t.length >= 2
+            assert sum(r for r, _ in t.pieces) == rank
+            assert sum(d for _, d in t.pieces) == degree
+            assert len(t.pieces) >= 2
             assert stratum_codim(t, 2) == codim <= 10
 
 
