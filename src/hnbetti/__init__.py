@@ -27,7 +27,6 @@ _HOMES = {
         "BettiChecks",
         "BettiReport",
         "MemoStore",
-        "ModuliQuery",
         "StructuralCheckError",
         "TRUNCATION_SLACK",
         "betti_poly",

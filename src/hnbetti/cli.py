@@ -158,23 +158,21 @@ def _execute(args: argparse.Namespace, memo: Optional[MemoStore]) -> OutputDocum
         kind = "type-list"
         payload = tuple(enumerate_types(args.rank, args.deg, args.genus, args.max_codim))
     elif args.command == "ssseries":
-        from .hnrec import ModuliQuery, ss_series
+        from .hnrec import ss_series
 
         kind = "series"
-        payload = ss_series(ModuliQuery(args.genus, args.rank, args.deg, args.truncate), memo)
+        payload = ss_series(args.genus, args.rank, args.deg, args.truncate, memo)
     else:
         if args.skip_checks and not args.unsafe:
             raise ValueError(
                 "--skip-checks drops the structural guarantees; pass --unsafe as well "
                 "to confirm"
             )
-        from .hnrec import ModuliQuery, betti_poly
+        from .hnrec import betti_poly
 
         kind = "betti-report"
         payload = betti_poly(
-            ModuliQuery(args.genus, args.rank, args.deg, args.truncate),
-            memo,
-            verify=not args.skip_checks,
+            args.genus, args.rank, args.deg, args.truncate, memo, verify=not args.skip_checks
         )
     return OutputDocument(kind, payload, genus=args.genus, rank=args.rank, degree=args.deg)
 

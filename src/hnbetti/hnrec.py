@@ -145,22 +145,6 @@ class StructuralCheckError(RuntimeError):
         self.diagnostic = dict(diagnostic or {})
 
 
-class ModuliQuery(_Record):
-    """Parameters of one semistable-series or Betti request."""
-
-    __slots__ = ("genus", "rank", "degree", "truncation")
-
-    def __init__(
-        self, genus: int, rank: int, degree: int, truncation: Optional[int] = None
-    ) -> None:
-        _check_int("genus", genus, 1)
-        _check_int("rank", rank, 1)
-        _check_int("degree", degree)
-        if truncation is not None:
-            _check_int("truncation order", truncation, 0)
-        self._fill(genus, rank, degree, truncation)
-
-
 class BettiChecks(_Record):
     """Outcome of the four structural checks on a Betti polynomial.
 
@@ -362,19 +346,22 @@ def dim_moduli(genus: int, rank: int) -> int:
     return 1 + rank * rank * (genus - 1)
 
 
-def ss_series(query: ModuliQuery, memo: Optional[MemoStore] = None) -> TruncatedSeries:
-    """Poincare series of the semistable locus, to the query's truncation order.
+def ss_series(
+    genus: int, rank: int, degree: int, order: int, memo: Optional[MemoStore] = None
+) -> TruncatedSeries:
+    """Poincare series of the semistable locus, to the given order.
 
     The composition sum of the module docstring, computed by its DP.  The
     series depends on the degree n only through min(n mod rank, -n mod rank),
     which is what it is computed and memoized under.
     """
-    if query.truncation is None:
-        raise ValueError("ss_series needs an explicit truncation order")
+    _check_int("genus", genus, 1)
+    _check_int("rank", rank, 1)
+    _check_int("degree", degree)
+    _check_int("truncation order", order, 0)
     if memo is None:
         memo = MemoStore()
-    genus, rank, order = query.genus, query.rank, query.truncation
-    degree = min(query.degree % rank, -query.degree % rank)
+    degree = min(degree % rank, -degree % rank)
     series = memo.lookup(genus, rank, degree, order)
     if series is None:
         series = _composition_sum(genus, rank, degree, order)
@@ -431,15 +418,15 @@ def stratum_series(
         memo = MemoStore()
     out = TruncatedSeries.one(order)
     for piece_rank, piece_degree in hn_type.pieces:
-        piece = ss_series(
-            ModuliQuery(genus, piece_rank, piece_degree, order), memo
-        )
-        out = out * piece
+        out = out * ss_series(genus, piece_rank, piece_degree, order, memo)
     return out
 
 
 def betti_poly(
-    query: ModuliQuery,
+    genus: int,
+    rank: int,
+    degree: int,
+    order: Optional[int] = None,
     memo: Optional[MemoStore] = None,
     verify: bool = True,
 ) -> BettiReport:
@@ -452,21 +439,22 @@ def betti_poly(
     raised with a diagnostic dump; verify=False skips the checks entirely and
     the report carries checks=None.
     """
-    if math.gcd(query.rank, query.degree) != 1:
+    dim = dim_moduli(genus, rank)  # checks genus, then rank
+    _check_int("degree", degree)
+    if order is None:
+        order = 2 * dim + TRUNCATION_SLACK
+    _check_int("truncation order", order, 0)
+    if math.gcd(rank, degree) != 1:
         raise ValueError(
             "rank and degree must be coprime "
-            f"(gcd({query.rank}, {query.degree}) = {math.gcd(query.rank, query.degree)}); "
+            f"(gcd({rank}, {degree}) = {math.gcd(rank, degree)}); "
             "otherwise stable and semistable bundles differ"
         )
-    dim = dim_moduli(query.genus, query.rank)
-    order = query.truncation if query.truncation is not None else 2 * dim + TRUNCATION_SLACK
     if order < 2 * dim:
         raise ValueError(
             f"truncation order {order} cannot hold the degree-{2 * dim} Betti polynomial"
         )
-    semistable = ss_series(
-        ModuliQuery(query.genus, query.rank, query.degree, order), memo
-    )
+    semistable = ss_series(genus, rank, degree, order, memo)
     collapsed = semistable * ExactPolynomial.from_terms({0: 1, 2: -1})
     poly = collapsed.polynomial_prefix(2 * dim)
     if not verify:
@@ -482,9 +470,9 @@ def betti_poly(
     failed = checks.failed()
     if failed:
         diagnostic = {
-            "genus": query.genus,
-            "rank": query.rank,
-            "degree": query.degree,
+            "genus": genus,
+            "rank": rank,
+            "degree": degree,
             "truncation": order,
             "dimension": dim,
             "failed_checks": failed,

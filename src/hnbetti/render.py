@@ -214,66 +214,78 @@ def render_json(doc: OutputDocument) -> str:
 
 
 def _coefficients(strings: object) -> tuple[int, ...]:
-    # int() would also take a float or a bool, and change the value silently.
-    if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
-        raise ValueError("coefficients must be a list of decimal strings")
-    return tuple(int(s) for s in strings)
+    # Exactly the strings render_json writes: int() would also take a float or
+    # a bool and change the value silently, and it reads "+3", " 7 ", "1_000",
+    # "007", "-0" and "٣", which str() never writes.
+    if isinstance(strings, list) and all(isinstance(s, str) for s in strings):
+        coeffs = tuple(int(s) for s in strings)
+        if [str(c) for c in coeffs] == strings:
+            return coeffs
+    raise ValueError("coefficients must be a list of decimal strings as render_json writes them")
 
 
 def parse_json(text: str) -> OutputDocument:
-    """Inverse of render_json: rebuild the document, validating as it goes."""
+    """Inverse of render_json: rebuild the document, validating as it goes.
+
+    Every malformed document raises ValueError: a missing key or a value of
+    the wrong shape, which the lookups below meet as a KeyError or TypeError,
+    is reported as one, naming the key or the fault.
+    """
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("document must be a JSON object")
-    kind = data["kind"]
-    if kind == "polynomial":
-        payload: object = ExactPolynomial(_coefficients(data["coefficients"]))
-    elif kind == "series":
-        coeffs = _coefficients(data["coefficients"])
-        payload = TruncatedSeries(coeffs, _check_int("truncation", data["truncation"]))
-    elif kind == "betti-report":
-        from .hnrec import BettiChecks, BettiReport
+    try:
+        kind = data["kind"]
+        if kind == "polynomial":
+            payload: object = ExactPolynomial(_coefficients(data["coefficients"]))
+        elif kind == "series":
+            coeffs = _coefficients(data["coefficients"])
+            payload = TruncatedSeries(coeffs, _check_int("truncation", data["truncation"]))
+        elif kind == "betti-report":
+            from .hnrec import BettiChecks, BettiReport
 
-        checks = data["checks"]
-        payload = BettiReport(
-            polynomial=ExactPolynomial(_coefficients(data["coefficients"])),
-            moduli_dimension=data["dimension"],
-            truncation_used=data["truncation"],
-            checks=None if checks is None else BettiChecks(**checks),
+            checks = data["checks"]
+            payload = BettiReport(
+                polynomial=ExactPolynomial(_coefficients(data["coefficients"])),
+                moduli_dimension=data["dimension"],
+                truncation_used=data["truncation"],
+                checks=None if checks is None else BettiChecks(**checks),
+            )
+        elif kind == "type-list":
+            from .strata import HNType, stratum_codim
+
+            rank, degree = data["rank"], data["degree"]
+            rows = []
+            for entry in data["types"]:
+                hn_type = HNType(entry["pieces"])
+                # A type list holds proper types of its stated rank and degree.
+                pieces = hn_type.pieces
+                rank_sum, degree_sum = map(sum, zip(*pieces))
+                if len(pieces) < 2 or rank not in (None, rank_sum) or degree not in (None, degree_sum):
+                    raise ValueError(
+                        f"type {pieces} is not a proper type of rank {rank} and degree {degree}"
+                    )
+                # Rendering writes the codimension it is given, so a wrong one
+                # would be passed on without a word.
+                codim = stratum_codim(hn_type, data["genus"])
+                if _check_int("codim", entry["codim"]) != codim:
+                    raise ValueError(
+                        f"type {hn_type.pieces} has codimension {codim}, not {entry['codim']}"
+                    )
+                rows.append((codim, hn_type))
+            payload = tuple(rows)
+        else:
+            raise ValueError(f"unknown document kind {kind!r}")
+        return OutputDocument(
+            kind=kind,
+            payload=payload,
+            genus=data["genus"],
+            rank=data["rank"],
+            degree=data["degree"],
+            version=data["version"],
         )
-    elif kind == "type-list":
-        from .strata import HNType, stratum_codim
-
-        rank, degree = data["rank"], data["degree"]
-        rows = []
-        for entry in data["types"]:
-            hn_type = HNType(entry["pieces"])
-            # A type list holds proper types of its stated rank and degree.
-            pieces = hn_type.pieces
-            rank_sum, degree_sum = map(sum, zip(*pieces))
-            if len(pieces) < 2 or rank not in (None, rank_sum) or degree not in (None, degree_sum):
-                raise ValueError(
-                    f"type {pieces} is not a proper type of rank {rank} and degree {degree}"
-                )
-            # Rendering writes the codimension it is given, so a wrong one
-            # would be passed on without a word.
-            codim = stratum_codim(hn_type, data["genus"])
-            if _check_int("codim", entry["codim"]) != codim:
-                raise ValueError(
-                    f"type {hn_type.pieces} has codimension {codim}, not {entry['codim']}"
-                )
-            rows.append((codim, hn_type))
-        payload = tuple(rows)
-    else:
-        raise ValueError(f"unknown document kind {kind!r}")
-    return OutputDocument(
-        kind=kind,
-        payload=payload,
-        genus=data["genus"],
-        rank=data["rank"],
-        degree=data["degree"],
-        version=data["version"],
-    )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed document: {exc!r}") from None
 
 
 RENDERERS = {

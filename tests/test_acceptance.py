@@ -16,7 +16,6 @@ from hnbetti.exactalg import ExactPolynomial
 from hnbetti.genfun import div_finite_poly, div_stable_series, residue_series
 from hnbetti.hnrec import (
     MemoStore,
-    ModuliQuery,
     betti_poly,
     dim_moduli,
     rank2_oracle,
@@ -64,12 +63,12 @@ def test_criterion_2_rank_two_oracle():
         dim = dim_moduli(genus, 2)
         order = 2 * dim + 10
         for degree in (1, 3, -1):
-            main = ss_series(ModuliQuery(genus, 2, degree, order), MemoStore())
+            main = ss_series(genus, 2, degree, order, MemoStore())
             oracle = rank2_oracle(genus, degree, order)
             assert main.coefficients == oracle.coefficients
             collapsed = oracle * ONE_MINUS_T2
             assert not any(collapsed.coefficients[2 * dim + 1 :])
-            poly = betti_poly(ModuliQuery(genus, 2, degree)).polynomial
+            poly = betti_poly(genus, 2, degree).polynomial
             assert poly.coefficients == collapsed.coefficients[: 2 * dim + 1]
             if genus == 2:
                 assert poly.coefficients == MODULI_G2_R2_N1
@@ -117,7 +116,7 @@ def test_criterion_5_stratification_additivity():
     for genus, rank, degree in ((2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1)):
         order = 2 * dim_moduli(genus, rank) + 10
         memo = MemoStore()
-        total = ss_series(ModuliQuery(genus, rank, degree, order), memo)
+        total = ss_series(genus, rank, degree, order, memo)
         for codim, hn_type in enumerate_types(rank, degree, genus, order // 2):
             shift = 2 * stratum_codim(hn_type, genus)
             assert shift == 2 * codim
@@ -153,7 +152,7 @@ def test_criterion_7_structural_checks_across_grid():
         for rank in (1, 2, 3, 4):
             for degree in degrees_by_rank[rank]:
                 start = time.monotonic()
-                report = betti_poly(ModuliQuery(genus, rank, degree), memo)
+                report = betti_poly(genus, rank, degree, memo=memo)
                 elapsed = time.monotonic() - start
                 assert report.checks.all_pass()
                 assert report.polynomial.degree == 2 * dim_moduli(genus, rank)

@@ -11,7 +11,7 @@ import pytest
 
 import hnbetti
 from hnbetti.cli import run
-from hnbetti.hnrec import MemoStore, ModuliQuery, ss_series
+from hnbetti.hnrec import MemoStore, ss_series
 
 PACKAGE_PARENT = str(Path(hnbetti.__file__).resolve().parent.parent)
 FILE_NAME = re.compile(r"ss_g(\d+)_r(\d+)_n(-?\d+)\.json")
@@ -46,11 +46,11 @@ def test_degrees_of_one_twist_class_share_cache_files(capsys, tmp_path):
 
 def test_dual_degrees_share_one_cache_file(tmp_path):
     # P_ss(r, n) = P_ss(r, -n): degrees 3, 2, -2 and 8 of rank 5 are one key.
-    first = ss_series(ModuliQuery(2, 5, 3, 12), MemoStore(tmp_path))
+    first = ss_series(2, 5, 3, 12, MemoStore(tmp_path))
     files = _files(tmp_path)
     assert list(files) == ["ss_g2_r5_n2.json"]
     for degree in (2, -2, 8):
-        assert ss_series(ModuliQuery(2, 5, degree, 12), MemoStore(tmp_path)) == first
+        assert ss_series(2, 5, degree, 12, MemoStore(tmp_path)) == first
         assert _files(tmp_path) == files
 
 
@@ -67,7 +67,7 @@ def test_ssseries_prints_the_requested_degree(capsys, tmp_path):
 def test_cache_files_get_the_mode_of_a_plain_open(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
-    ss_series(ModuliQuery(2, 2, 1, 8), MemoStore(tmp_path))
+    ss_series(2, 2, 1, 8, MemoStore(tmp_path))
     modes = {p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
     assert modes == {0o666 & ~umask}
 
@@ -75,7 +75,7 @@ def test_cache_files_get_the_mode_of_a_plain_open(tmp_path):
 def test_failed_write_leaves_no_temp_file(tmp_path):
     (tmp_path / "ss_g2_r2_n1.json").mkdir()  # the rename onto it fails
     memo = MemoStore(tmp_path)
-    ss_series(ModuliQuery(2, 2, 1, 8), memo)
+    ss_series(2, 2, 1, 8, memo)
     assert any("ss_g2_r2_n1.json: write failed" in w for w in memo.warnings)
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
@@ -136,15 +136,15 @@ def test_numbers_where_the_format_has_strings_are_a_miss(capsys, tmp_path, field
 
 
 def test_one_file_per_key_holds_the_longest_series(tmp_path):
-    ss_series(ModuliQuery(2, 2, 1, 8), MemoStore(tmp_path))
-    longer = ss_series(ModuliQuery(2, 2, 1, 12), MemoStore(tmp_path))
+    ss_series(2, 2, 1, 8, MemoStore(tmp_path))
+    longer = ss_series(2, 2, 1, 12, MemoStore(tmp_path))
     files = _files(tmp_path)
     assert list(files) == ["ss_g2_r2_n1.json"]
     data = json.loads((tmp_path / "ss_g2_r2_n1.json").read_text(encoding="utf-8"))
     assert data["truncation"] == 12
 
     memo = MemoStore(tmp_path)
-    assert ss_series(ModuliQuery(2, 2, 1, 10), memo) == longer.truncate(10)
+    assert ss_series(2, 2, 1, 10, memo) == longer.truncate(10)
     assert _files(tmp_path) == files  # served from the file: nothing written
     assert not memo.warnings
 
@@ -163,12 +163,12 @@ def test_old_layout_files_are_never_read(capsys, tmp_path):
 
 
 def test_shorter_file_is_a_silent_miss_and_is_replaced(tmp_path):
-    ss_series(ModuliQuery(2, 2, 1, 6), MemoStore(tmp_path))
+    ss_series(2, 2, 1, 6, MemoStore(tmp_path))
     before = _files(tmp_path)
 
     memo = MemoStore(tmp_path)
     assert memo.lookup(2, 2, 1, 9) is None
-    longer = ss_series(ModuliQuery(2, 2, 1, 9), memo)
+    longer = ss_series(2, 2, 1, 9, memo)
     assert not memo.warnings
     after = _files(tmp_path)
     assert list(after) == ["ss_g2_r2_n1.json"]

@@ -12,7 +12,7 @@ from hnbetti.genfun import (
     residue_series,
     sym_product_poly,
 )
-from hnbetti.hnrec import ModuliQuery, dim_moduli, rank2_oracle
+from hnbetti.hnrec import dim_moduli, rank2_oracle, ss_series
 from hnbetti.strata import HNType, enumerate_types, stratum_codim
 
 
@@ -234,7 +234,7 @@ GENUS_CHECKED = {
     "residue_series": (0, lambda g: residue_series(g, 2, 4)),
     "stratum_codim": (1, lambda g: stratum_codim(HNType(((1, 1), (1, 0))), g)),
     "enumerate_types": (1, lambda g: enumerate_types(2, 1, g, 4)),
-    "ModuliQuery": (1, lambda g: ModuliQuery(g, 2, 1, 10)),
+    "ss_series": (1, lambda g: ss_series(g, 2, 1, 10)),
     "dim_moduli": (1, lambda g: dim_moduli(g, 2)),
     "rank2_oracle": (1, lambda g: rank2_oracle(g, 1, 10)),
 }

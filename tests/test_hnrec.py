@@ -11,7 +11,6 @@ from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
 from hnbetti.genfun import div_stable_ranks, div_stable_series
 from hnbetti.hnrec import (
     MemoStore,
-    ModuliQuery,
     StructuralCheckError,
     betti_poly,
     dim_moduli,
@@ -25,14 +24,17 @@ ONE_MINUS_T2 = ExactPolynomial.from_terms({0: 1, 2: -1})
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        ModuliQuery(0, 2, 1, 10)
-    with pytest.raises(ValueError):
-        ModuliQuery(2, 0, 1, 10)
-    with pytest.raises(ValueError):
-        ModuliQuery(2, 2, 1, -1)
-    with pytest.raises(ValueError):
-        ss_series(ModuliQuery(2, 2, 1))  # no truncation order
+    # Genus, then rank, then degree, then order, each named in its error;
+    # betti_poly checks all four before coprimality (rank 2, degree 2 below).
+    for call in (ss_series, betti_poly):
+        with pytest.raises(ValueError, match="genus must be an integer >= 1"):
+            call(0, 0, 1.5, -1)
+        with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+            call(2, 0, 1.5, -1)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            call(2, 2, 1.5, -1)
+        with pytest.raises(ValueError, match="truncation order must be an integer >= 0"):
+            call(2, 2, 2, -1)
 
 
 def test_dim_moduli():
@@ -45,23 +47,23 @@ def test_dim_moduli():
 
 
 def test_ss_series_examples():
-    assert ss_series(ModuliQuery(2, 1, 0, 3)).coefficients == (1, 4, 7, 8)
-    assert ss_series(ModuliQuery(2, 2, 1, 3)).coefficients == (1, 4, 8, 16)
+    assert ss_series(2, 1, 0, 3).coefficients == (1, 4, 7, 8)
+    assert ss_series(2, 2, 1, 3).coefficients == (1, 4, 8, 16)
     for genus, rank, degree in ((1, 1, 0), (2, 2, 1), (3, 3, 2)):
-        assert ss_series(ModuliQuery(genus, rank, degree, 6)).coefficient(0) == 1
+        assert ss_series(genus, rank, degree, 6).coefficient(0) == 1
 
 
 def test_ss_series_rank_one_is_divisor_series():
     for genus in (1, 2, 3):
         for degree in (-2, 0, 5):
-            got = ss_series(ModuliQuery(genus, 1, degree, 12))
+            got = ss_series(genus, 1, degree, 12)
             assert got.coefficients == div_stable_series(genus, 1, 12).coefficients
 
 
 def test_ss_series_agrees_with_divisor_series_below_first_stratum():
     for genus, rank, degree in ((2, 2, 1), (2, 3, 1), (3, 2, 0)):
         order = 14
-        ss = ss_series(ModuliQuery(genus, rank, degree, order))
+        ss = ss_series(genus, rank, degree, order)
         div = div_stable_series(genus, rank, order)
         types = enumerate_types(rank, degree, genus, order)
         assert all(stratum_codim(t, genus) == codim for codim, t in types)
@@ -71,23 +73,23 @@ def test_ss_series_agrees_with_divisor_series_below_first_stratum():
 
 
 def test_ss_series_prefix_stability():
-    long = ss_series(ModuliQuery(2, 3, 1, 24))
+    long = ss_series(2, 3, 1, 24)
     for order in (0, 5, 11, 24):
-        short = ss_series(ModuliQuery(2, 3, 1, order))
+        short = ss_series(2, 3, 1, order)
         assert short.coefficients == long.coefficients[: order + 1]
 
 
 def test_ss_series_twist_invariance():
     for genus, rank, degree in ((2, 2, 1), (2, 3, 2), (3, 2, -1)):
         # Fresh memo stores on both sides, so memoization cannot mask a gap.
-        lhs = ss_series(ModuliQuery(genus, rank, degree, 16), MemoStore())
-        rhs = ss_series(ModuliQuery(genus, rank, degree + rank, 16), MemoStore())
+        lhs = ss_series(genus, rank, degree, 16, MemoStore())
+        rhs = ss_series(genus, rank, degree + rank, 16, MemoStore())
         assert lhs.coefficients == rhs.coefficients
 
 
 def test_ss_series_nonnegative_coefficients():
     for genus, rank, degree in ((1, 2, 1), (2, 2, 1), (2, 3, -1), (3, 2, 1)):
-        series = ss_series(ModuliQuery(genus, rank, degree, 20))
+        series = ss_series(genus, rank, degree, 20)
         assert all(c >= 0 for c in series.coefficients)
 
 
@@ -136,7 +138,7 @@ def test_ss_series_matches_composition_reference():
                 # the other degrees of the class are served by the memo.
                 memo = MemoStore()
                 for degree in range(-rank, rank + 1):
-                    got = ss_series(ModuliQuery(genus, rank, degree, order), memo)
+                    got = ss_series(genus, rank, degree, order, memo)
                     assert got.coefficients == want[degree % rank].coefficients, (
                         genus, rank, degree, order)
 
@@ -159,15 +161,15 @@ def test_stratum_series_examples():
 
 
 def test_betti_examples():
-    report = betti_poly(ModuliQuery(2, 1, 0))
+    report = betti_poly(2, 1, 0)
     assert report.polynomial.coefficients == (1, 4, 6, 4, 1)
     assert report.moduli_dimension == 2
     assert report.checks.all_pass()
 
-    report = betti_poly(ModuliQuery(3, 1, 0))
+    report = betti_poly(3, 1, 0)
     assert report.polynomial.coefficients == tuple(math.comb(6, k) for k in range(7))
 
-    report = betti_poly(ModuliQuery(2, 2, 1))
+    report = betti_poly(2, 2, 1)
     assert report.polynomial.coefficients == (1, 4, 7, 12, 24, 32, 24, 12, 7, 4, 1)
     assert report.moduli_dimension == 5
     assert report.truncation_used == 20
@@ -175,22 +177,22 @@ def test_betti_examples():
 
 def test_betti_rejects_common_factor():
     with pytest.raises(ValueError, match="coprime"):
-        betti_poly(ModuliQuery(2, 2, 2))
+        betti_poly(2, 2, 2)
     with pytest.raises(ValueError, match="coprime"):
-        betti_poly(ModuliQuery(2, 3, 0))
+        betti_poly(2, 3, 0)
 
 
 def test_betti_truncation_bounds():
     # 2*dim is the minimum that can hold the polynomial; below that is a
     # caller error, not a structural failure.
-    report = betti_poly(ModuliQuery(2, 2, 1, truncation=10))
+    report = betti_poly(2, 2, 1, order=10)
     assert report.polynomial.degree == 10
     with pytest.raises(ValueError, match="truncation"):
-        betti_poly(ModuliQuery(2, 2, 1, truncation=9))
+        betti_poly(2, 2, 1, order=9)
 
 
 def test_betti_skip_verification():
-    report = betti_poly(ModuliQuery(2, 2, 1), verify=False)
+    report = betti_poly(2, 2, 1, verify=False)
     assert report.checks is None
     assert report.polynomial.coefficients == (1, 4, 7, 12, 24, 32, 24, 12, 7, 4, 1)
 
@@ -206,7 +208,7 @@ def _hard_lefschetz(betti, dim):
 def test_betti_fixed_determinant_quotient_and_hard_lefschetz(genus, rank, degree):
     # P(N) = (1+t)^(2g) P(N_0), N_0 the smooth projective fixed-determinant
     # moduli space (Atiyah-Bott 1983, section 9); hard Lefschetz holds on both.
-    report = betti_poly(ModuliQuery(genus, rank, degree))
+    report = betti_poly(genus, rank, degree)
     dim = report.moduli_dimension
     betti = report.polynomial.coefficients
     fixed = report.polynomial.divide_exact(ExactPolynomial.from_terms({0: 1, 1: 1}) ** (2 * genus))
@@ -223,12 +225,12 @@ def test_betti_structural_failure_carries_diagnostic():
     # Poison the memo with a well-formed but wrong series: the checks must
     # catch it and the diagnostic must name what failed.
     memo = MemoStore()
-    good = ss_series(ModuliQuery(2, 2, 1, 20), MemoStore())
+    good = ss_series(2, 2, 1, 20, MemoStore())
     bad = list(good.coefficients)
     bad[3] += 1
     memo.store(2, 2, 1, TruncatedSeries(tuple(bad), 20))
     with pytest.raises(StructuralCheckError) as err:
-        betti_poly(ModuliQuery(2, 2, 1), memo)
+        betti_poly(2, 2, 1, memo=memo)
     assert "palindromic" in err.value.diagnostic["failed_checks"]
     assert err.value.diagnostic["rank"] == 2
 
@@ -251,24 +253,24 @@ def test_rank2_oracle_matches_recursion():
     for genus in (1, 2, 3):
         order = 2 * dim_moduli(genus, 2) + 10
         for degree in (1, 3, -1):
-            main = ss_series(ModuliQuery(genus, 2, degree, order), MemoStore())
+            main = ss_series(genus, 2, degree, order, MemoStore())
             oracle = rank2_oracle(genus, degree, order)
             assert main.coefficients == oracle.coefficients
 
 
 def test_memo_prefix_service_and_growth():
     memo = MemoStore()
-    first = ss_series(ModuliQuery(2, 2, 1, 8), memo)
+    first = ss_series(2, 2, 1, 8, memo)
     assert memo.lookup(2, 2, 1, 5).coefficients == first.coefficients[:6]
     assert memo.lookup(2, 2, 1, 9) is None
-    longer = ss_series(ModuliQuery(2, 2, 1, 12), memo)
+    longer = ss_series(2, 2, 1, 12, memo)
     assert memo.lookup(2, 2, 1, 12).coefficients == longer.coefficients
     assert longer.coefficients[:9] == first.coefficients
 
 
 def test_memo_store_is_idempotent_but_rejects_conflicts():
     memo = MemoStore()
-    series = ss_series(ModuliQuery(2, 2, 1, 6), MemoStore())
+    series = ss_series(2, 2, 1, 6, MemoStore())
     memo.store(2, 2, 1, series)
     memo.store(2, 2, 1, series)  # no-op
     memo.store(2, 2, 1, series.truncate(3))  # shorter prefix: no-op
@@ -281,7 +283,7 @@ def test_memo_store_is_idempotent_but_rejects_conflicts():
 
 def test_memo_disk_roundtrip(tmp_path):
     warm = MemoStore(tmp_path)
-    computed = ss_series(ModuliQuery(2, 2, 1, 10), warm)
+    computed = ss_series(2, 2, 1, 10, warm)
     assert (tmp_path / "ss_g2_r2_n1.json").exists()
     assert not warm.warnings
 
@@ -295,7 +297,7 @@ def test_memo_disk_roundtrip(tmp_path):
 
 def test_memo_survives_corrupt_cache_file(tmp_path):
     seed = MemoStore(tmp_path)
-    good = ss_series(ModuliQuery(2, 1, 0, 9), seed)
+    good = ss_series(2, 1, 0, 9, seed)
     path = tmp_path / "ss_g2_r1_n0.json"
     path.write_text("{ not json", encoding="utf-8")
 
@@ -304,14 +306,14 @@ def test_memo_survives_corrupt_cache_file(tmp_path):
     assert len(store.warnings) == 1
     assert "ss_g2_r1_n0.json" in store.warnings[0]
     # Recomputing through the store heals the file.
-    again = ss_series(ModuliQuery(2, 1, 0, 9), store)
+    again = ss_series(2, 1, 0, 9, store)
     assert again.coefficients == good.coefficients
     assert MemoStore(tmp_path).lookup(2, 1, 0, 9).coefficients == good.coefficients
 
 
 def test_memo_rejects_mismatched_file_metadata(tmp_path):
     store = MemoStore(tmp_path)
-    ss_series(ModuliQuery(2, 1, 0, 6), store)
+    ss_series(2, 1, 0, 6, store)
     path = tmp_path / "ss_g2_r1_n0.json"
     data = json.loads(path.read_text(encoding="utf-8"))
     data["degree"] = 5  # metadata no longer matches the file name
@@ -334,7 +336,7 @@ def test_strata_recursion_matches_type_enumeration():
             for degree in (-4, -1, 0, 1, 2, 5):
                 for order in (6, 17, 40, 61):
                     got = div_stable_series(genus, rank, order) - ss_series(
-                        ModuliQuery(genus, rank, degree, order), memo
+                        genus, rank, degree, order, memo
                     )
                     want = TruncatedSeries((0,) * (order + 1), order)
                     for codim, hn_type in enumerate_types(rank, degree, genus, order // 2):
@@ -359,7 +361,7 @@ def test_warm_cache_classes_are_loaded_not_rebuilt_or_rewritten(tmp_path, monkey
     # A cold run writes the requested class only; a warm run loads it, with
     # no ind-variety series computed and nothing written.
     cold = _RecordingMemo(tmp_path)
-    want = ss_series(ModuliQuery(2, 5, 1, 40), cold)
+    want = ss_series(2, 5, 1, 40, cold)
     assert cold.written == [(5, 1)]
     builds = []
 
@@ -369,7 +371,7 @@ def test_warm_cache_classes_are_loaded_not_rebuilt_or_rewritten(tmp_path, monkey
 
     monkeypatch.setattr(hnrec, "div_stable_ranks", counted)
     warm = _RecordingMemo(tmp_path)
-    assert ss_series(ModuliQuery(2, 5, 1, 40), warm).coefficients == want.coefficients
+    assert ss_series(2, 5, 1, 40, warm).coefficients == want.coefficients
     assert builds == []
     assert warm.written == []
     assert not warm.warnings

@@ -15,7 +15,15 @@ from hnbetti.genfun import (
     residue_series,
     sym_product_poly,
 )
-from hnbetti.hnrec import BettiChecks, BettiReport, MemoStore, ModuliQuery, dim_moduli, rank2_oracle
+from hnbetti.hnrec import (
+    BettiChecks,
+    BettiReport,
+    MemoStore,
+    betti_poly,
+    dim_moduli,
+    rank2_oracle,
+    ss_series,
+)
 from hnbetti.render import OutputDocument, parse_json, render_json
 from hnbetti.strata import HNType
 
@@ -29,7 +37,6 @@ RECORDS = {
     ExactPolynomial: {"coefficients": (1, 0, 2)},
     TruncatedSeries: {"coefficients": (1, 4, 8), "truncation_order": 2},
     HNType: {"pieces": ((1, 1), (1, 0))},
-    ModuliQuery: {"genus": 2, "rank": 3, "degree": 1, "truncation": 30},
     BettiChecks: CHECKS,
     BettiReport: REPORT,
     OutputDocument: {"kind": "betti-report", "payload": BettiReport(**REPORT), "genus": 1,
@@ -69,13 +76,11 @@ def test_record_semantics(cls):
 
 
 def test_record_defaults():
-    assert ModuliQuery(2, 3, 1).truncation is None
     doc = OutputDocument("polynomial", ExactPolynomial((1,)))
     assert (doc.genus, doc.rank, doc.degree, doc.version) == (None, None, None, __version__)
 
 
 def test_unequal_records():
-    assert ModuliQuery(2, 3, 1) != ModuliQuery(2, 3, 1, 10)
     assert HNType(((1, 1), (1, 0))) != HNType(((1, 2), (1, -1)))
     assert BettiChecks(True, True, True, True) != BettiChecks(True, True, True, False)
 
@@ -84,7 +89,7 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
     doc = OutputDocument("betti-report", BettiReport(**REPORT), genus=2, rank=2, degree=1)
     data = json.loads(render_json(doc))
     data["checks"]["extra"] = True
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="extra"):
         parse_json(json.dumps(data))
     (tmp_path / "ss_g2_r2_n1.json").write_text(json.dumps(data), encoding="utf-8")
     memo = MemoStore(tmp_path)
@@ -117,10 +122,14 @@ def test_betti_report_fields_must_agree(field, value, match):
         (ExactPolynomial, ((1, True),)),
         (TruncatedSeries, (("3", 2.2), 1)),
         (TruncatedSeries, ((1, 2), 1.0)),
-        (ModuliQuery, (2, 2.0, 1, 4)),
-        (ModuliQuery, (2, 2, 1.5, 4)),
-        (ModuliQuery, (2, 2, 1, 4.0)),
-        (ModuliQuery, (2, 2, True, 4)),
+        (ss_series, (2, 2.0, 1, 4)),
+        (ss_series, (2, 2, 1.5, 4)),
+        (ss_series, (2, 2, 1, 4.0)),
+        (ss_series, (2, 2, True, 4)),
+        (betti_poly, (2, 2.0, 1, 12)),
+        (betti_poly, (2, 2, 1.5, 12)),
+        (betti_poly, (2, 2, 1, 12.0)),
+        (betti_poly, (2, 2, True, 12)),
         (dim_moduli, (2, 2.5)),
         (dim_moduli, (2, True)),
         (sym_product_poly, (2, True)),
@@ -138,8 +147,9 @@ def test_betti_report_fields_must_agree(field, value, match):
         (ExactPolynomial((1, 2, 3)).coefficient, (1.0,)),
     ],
     ids=["HNType", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries",
-         "TruncatedSeries-order", "ModuliQuery-rank", "ModuliQuery-degree",
-         "ModuliQuery-truncation", "ModuliQuery-bool", "dim_moduli-rank", "dim_moduli-bool",
+         "TruncatedSeries-order", "ss_series-rank", "ss_series-degree", "ss_series-order",
+         "ss_series-bool", "betti_poly-rank", "betti_poly-degree", "betti_poly-order",
+         "betti_poly-bool", "dim_moduli-rank", "dim_moduli-bool",
          "sym_product_poly-bool", "div_stable_series-bool", "rank2_oracle-degree",
          "div_stable_ranks-order", "residue_series-order", "rank2_oracle-order",
          "div_finite_poly-twist", "monomial", "from_terms", "pow-bool", "truncate",

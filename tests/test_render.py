@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
-from hnbetti.hnrec import BettiChecks, BettiReport, ModuliQuery, betti_poly
+from hnbetti.hnrec import BettiChecks, BettiReport, betti_poly
 from hnbetti.render import (
     OutputDocument,
     parse_json,
@@ -183,7 +183,7 @@ def test_json_zero_polynomial_convention():
 
 def test_json_huge_coefficients_survive():
     # The genus-50 Jacobian: (1 + t)^100, middle coefficient 30 digits long.
-    report = betti_poly(ModuliQuery(50, 1, 0))
+    report = betti_poly(50, 1, 0)
     doc = OutputDocument("betti-report", report, genus=50, rank=1, degree=0)
     data = json.loads(render_json(doc))
     middle = data["coefficients"][50]
@@ -299,6 +299,30 @@ def test_parse_json_rejects_garbage():
     with pytest.raises(ValueError):
         parse_json(json.dumps({"kind": "poem", "genus": None, "rank": None,
                                "degree": None, "version": "0.1.0"}))
+    # A missing key is a ValueError that names it, wherever it is missing.
+    with pytest.raises(ValueError, match="'kind'"):
+        parse_json("{}")
+    docs = {d.kind: json.loads(render_json(d)) for d in reversed(_docs()) if d.payload}
+    for kind, path in [("series", ("version",)), ("series", ("truncation",)),
+                       ("type-list", ("types", 0, "codim")),
+                       ("betti-report", ("checks", "palindromic"))]:
+        data = json.loads(json.dumps(docs[kind]))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        with pytest.raises(ValueError, match=path[-1]):
+            parse_json(json.dumps(data))
+    data = json.loads(json.dumps(docs["betti-report"]))
+    data["checks"]["extra"] = True
+    with pytest.raises(ValueError, match="extra"):
+        parse_json(json.dumps(data))
+    # Coefficients are exactly the strings str() writes; int() reads all of these.
+    for text in ("1_000", " 7 ", "+3", "007", "-0", "\u0663", "4\n"):
+        data = json.loads(json.dumps(docs["series"]))
+        data["coefficients"][1] = text
+        with pytest.raises(ValueError, match="decimal strings"):
+            parse_json(json.dumps(data))
 
 
 @pytest.mark.parametrize(
@@ -318,6 +342,11 @@ def test_parse_json_rejects_garbage():
         ("betti-report", ("truncation",), 3),
         ("betti-report", ("version",), 5),
         ("type-list", ("types", 0, "pieces"), [1, 2]),
+        ("betti-report", ("checks",), 5),
+        ("type-list", ("types",), 5),
+        ("type-list", ("types", 0), 5),
+        ("type-list", ("types", 0), [[1, 1], [1, 0]]),
+        ("type-list", ("types", 0, "pieces"), 5),
     ],
 )
 def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
