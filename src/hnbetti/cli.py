@@ -20,12 +20,21 @@ Output for a given command line is byte-deterministic, warm or cold cache.
 _execute builds one OutputDocument per command; every command but sympoly
 (genus, points) and divseries (genus, rank) carries (genus, rank, deg).
 Each command imports only the modules it runs, after its arguments parse, so
---version, --help and a usage error load no layer of the library.
+--version, --help and a usage error load no layer of the library, and
+polygons loads strata and render but no polynomial arithmetic.
+
+main, the process entry point, turns the cyclic garbage collector off before
+run: the process exits as soon as run returns, and what a request builds is
+freed by reference counting (tests/test_cli.py checks that a larger request
+leaves no more cyclic garbage than a small one).  Left on, the collector
+would walk every live HNType of a large polygons request, over and over, to
+free nothing.  run itself leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -214,6 +223,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    gc.disable()  # see the module docstring
     sys.exit(run())
 
 

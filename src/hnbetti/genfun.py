@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .exactalg import ExactPolynomial, TruncatedSeries, _check_int
+from ._base import _check_int
+from .exactalg import ExactPolynomial, TruncatedSeries
 
 
 def sym_product_poly(genus: int, points: int) -> ExactPolynomial:

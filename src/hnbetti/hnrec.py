@@ -128,7 +128,8 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
-from .exactalg import ExactPolynomial, TruncatedSeries, _Record, _check_int
+from ._base import _Record, _check_int
+from .exactalg import ExactPolynomial, TruncatedSeries
 from .genfun import div_stable_ranks
 
 if TYPE_CHECKING:

@@ -17,24 +17,23 @@ the renderers write the codimensions they are given and compute none.
 
 from __future__ import annotations
 
-import json
+from importlib import import_module
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
+from ._base import _Record, _check_int
 from ._version import __version__
-from .exactalg import ExactPolynomial, TruncatedSeries, _Record, _check_int
 
 if TYPE_CHECKING:
     from .hnrec import BettiChecks
 
-KINDS = ("polynomial", "series", "type-list", "betti-report")
-
-# The betti-report payload, hnrec's BettiReport, is imported only when a report
-# document is built, and HNType only when a type list is, so that rendering
-# other kinds loads neither hnrec nor strata.
+# Each kind's payload class, by its home module.  It is imported only when a
+# document of that kind is built, so that a document loads only the layer
+# that made its payload: a type list loads neither exactalg nor hnrec.
 _PAYLOAD_TYPES = {
-    "polynomial": ExactPolynomial,
-    "series": TruncatedSeries,
-    "type-list": tuple,
+    "polynomial": (".exactalg", "ExactPolynomial"),
+    "series": (".exactalg", "TruncatedSeries"),
+    "type-list": ("builtins", "tuple"),
+    "betti-report": (".hnrec", "BettiReport"),
 }
 
 
@@ -58,14 +57,10 @@ class OutputDocument(_Record):
         degree: Optional[int] = None,
         version: str = __version__,
     ) -> None:
-        if kind not in KINDS:
+        if kind not in _PAYLOAD_TYPES:
             raise ValueError(f"unknown document kind {kind!r}")
-        if kind == "betti-report":
-            from .hnrec import BettiReport
-
-            payload_type: type = BettiReport
-        else:
-            payload_type = _PAYLOAD_TYPES[kind]
+        home, class_name = _PAYLOAD_TYPES[kind]
+        payload_type = getattr(import_module(home, __package__), class_name)
         if not isinstance(payload, payload_type):
             raise ValueError(f"kind {kind!r} cannot carry a {type(payload).__name__}")
         if not isinstance(version, str):
@@ -184,6 +179,8 @@ def render_csv(doc: OutputDocument) -> str:
 
 
 def render_json(doc: OutputDocument) -> str:
+    import json  # here, not at the top: only render_json and parse_json use it
+
     obj = {
         "kind": doc.kind,
         "genus": doc.genus,
@@ -229,9 +226,16 @@ def parse_json(text: str) -> OutputDocument:
 
     Every malformed document raises ValueError: a missing key or a value of
     the wrong shape, which the lookups below meet as a KeyError or TypeError,
-    is reported as one, naming the key or the fault.
+    is reported as one, naming the key or the fault.  So is JSON nested too
+    deeply for the parser's recursion, which raises RecursionError.
     """
-    data = json.loads(text)
+    import json
+    from .exactalg import ExactPolynomial, TruncatedSeries
+
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed document: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("document must be a JSON object")
     try:

@@ -60,9 +60,10 @@ lexicographic order of pieces.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable
 
-from .exactalg import _Record, _check_int
+from ._base import _Record, _check_int
 
 
 class HNType(_Record):
@@ -131,7 +132,7 @@ def enumerate_types(
     g1 = genus - 1
     # Keyed by codimension, not a list of max_codim + 1 buckets: the budget
     # can be far larger than any codimension reached.
-    buckets: dict[int, list[HNType]] = {}
+    buckets: dict[int, list[HNType]] = defaultdict(list)
     # HNType._trusted inlined, through the slot's own setter, which
     # _Record.__setattr__ does not block: the walk builds int pieces with
     # positive ranks and dropping slopes, and its cost is per type.
@@ -144,12 +145,22 @@ def enumerate_types(
         for r1 in range(1, R):
             base = r1 * (R - r1) * g1 - r1 * D  # c1 = R * d1 + base
             d_hi = min((budget - base) // R, (cap_d * r1 - 1) // cap_r)
-            for d1 in range(r1 * D // R + 1, d_hi + 1):  # D / R < d1 / r1 < cap
-                c1 = R * d1 + base
-                walk(R - r1, D - d1, d1, r1, budget - c1, codim + c1, prefix + ((r1, d1),))
+            d1s = range(r1 * D // R + 1, d_hi + 1)  # D / R < d1 / r1 < cap
+            if r1 == R - 1:
+                # A rest of rank 1 has one type, the semistable (1, D - d1),
+                # always below its cap: emit it here, where its own walk call
+                # would, and make no call that loops over nothing.
+                for d1 in d1s:
+                    hn_type = new(HNType)
+                    fill(hn_type, prefix + ((r1, d1), (1, D - d1)))
+                    buckets[codim + R * d1 + base].append(hn_type)
+            else:
+                for d1 in d1s:
+                    c1 = R * d1 + base
+                    walk(R - r1, D - d1, d1, r1, budget - c1, codim + c1, prefix + ((r1, d1),))
         hn_type = new(HNType)
         fill(hn_type, prefix + ((R, D),))
-        buckets.setdefault(codim, []).append(hn_type)
+        buckets[codim].append(hn_type)
 
     # A first piece with c1 <= max_codim has slope at most D/R + max_codim, so
     # this cap never binds at the top.

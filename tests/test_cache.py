@@ -135,6 +135,24 @@ def test_numbers_where_the_format_has_strings_are_a_miss(capsys, tmp_path, field
     assert err.count("cache warning") == 1
 
 
+def test_deeply_nested_file_is_a_miss(capsys, tmp_path):
+    # json.loads raises RecursionError on nesting this deep, which no cache
+    # reader caught: ssseries and betti exited 1 with a traceback.
+    argv = ["ssseries", "--genus", "2", "--rank", "2", "--deg", "1", "--truncate", "4",
+            "--cache-dir", str(tmp_path)]
+    assert run(argv) == 0
+    cold, _ = capsys.readouterr()
+    path = tmp_path / "ss_g2_r2_n1.json"
+    depth = 200_000
+    for strict, code in ((False, 0), (True, 4)):
+        path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        assert run(argv + ["--strict-cache"] * strict) == code
+        out, err = capsys.readouterr()
+        assert out == cold
+        assert err == "cache warning: cache file ss_g2_r2_n1.json: " \
+            "malformed document: JSON nested too deeply\n"
+
+
 def test_one_file_per_key_holds_the_longest_series(tmp_path):
     ss_series(2, 2, 1, 8, MemoStore(tmp_path))
     longer = ss_series(2, 2, 1, 12, MemoStore(tmp_path))

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, formats, exit codes, cache behaviour."""
 
+import gc
 import hashlib
 import json
 import os
@@ -279,6 +280,55 @@ def test_exit_2_on_bad_genus(capsys, argv):
     assert "genus" in err
 
 
+def test_run_leaves_the_collector_as_it_found_it(capsys):
+    # main turns the collector off for its own process; run, which library
+    # callers and tests call, does not touch it.
+    was_enabled = gc.isenabled()
+    try:
+        for switch in (gc.enable, gc.disable):
+            switch()
+            enabled = gc.isenabled()
+            code, _, err = _run(capsys, "polygons", "--genus", "2", "--rank", "3", "--deg", "1",
+                                "--max-codim", "4")
+            assert code == 0, err
+            assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (("polygons", "--genus", "2", "--rank", "3", "--deg", "1", "--max-codim", "4"),
+         ("polygons", "--genus", "2", "--rank", "8", "--deg", "1", "--max-codim", "120")),
+        (("betti", "--genus", "2", "--rank", "2", "--deg", "1"),
+         ("betti", "--genus", "3", "--rank", "5", "--deg", "1")),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_larger_request_leaves_no_more_cyclic_garbage(capsys, monkeypatch, small, large):
+    # main runs with the collector off, so cyclic garbage that grew with the
+    # request would stay until the process exits.  What any request leaves
+    # is argparse's own parser, built once per run.
+    monkeypatch.delenv("HNBETTI_CACHE_DIR", raising=False)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        for argv in (small, small, large):  # the first run loads the modules
+            gc.collect()
+            code, _, err = _run(capsys, *argv)
+            assert code == 0, err
+            found.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found[2] == found[1]
+
+
 def _fresh_python(code, *args):
     """Stdout of code run in a new interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=str(Path(hnbetti.__file__).resolve().parent.parent))
@@ -287,13 +337,15 @@ def _fresh_python(code, *args):
     return result.stdout
 
 
-# Runs `python -m hnbetti ARGS` through runpy, then prints the hnbetti modules
-# it loaded and whether dataclasses or inspect came with them.  Only modules
-# new since just before the run count: an interpreter's own start-up (site and
-# its .pth hooks) may load inspect already.  runpy runs __main__.py as
-# __main__, as `python -m` does, so hnbetti.__main__ is never listed.
+# Runs `python -m hnbetti ARGS` through runpy, then prints, one a line, the
+# hnbetti and json modules it loaded and dataclasses or inspect if they came
+# with them.  Only modules new since just before the run count: an
+# interpreter's own start-up (site and its .pth hooks) may load inspect
+# already.  The script itself imports no json, so that a run that loads it
+# shows.  runpy runs __main__.py as __main__, as `python -m` does, so
+# hnbetti.__main__ is never listed.
 _LOADED_BY_COMMAND = """
-import contextlib, io, json, runpy, sys
+import contextlib, io, runpy, sys
 sys.argv = ["hnbetti", *sys.argv[1:]]
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -301,12 +353,16 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         runpy.run_module("hnbetti", run_name="__main__")
     except SystemExit:
         pass
-print(json.dumps(sorted(m for m in set(sys.modules) - before
-                        if m.split(".")[0] in ("hnbetti", "dataclasses", "inspect"))))
+for name in sorted(set(sys.modules) - before):
+    if name.split(".")[0] in ("hnbetti", "json", "dataclasses", "inspect"):
+        print(name)
 """
 
 _START = ["hnbetti", "hnbetti._version", "hnbetti.cli"]
-_POLYNOMIALS = _START + ["hnbetti.exactalg", "hnbetti.genfun", "hnbetti.render"]
+_TYPES = _START + ["hnbetti._base", "hnbetti.render", "hnbetti.strata"]
+_JSON = ["json", "json.decoder", "json.encoder", "json.scanner"]
+_POLYNOMIALS = _START + ["hnbetti._base", "hnbetti.exactalg", "hnbetti.genfun",
+                         "hnbetti.render"]
 _SEMISTABLE = _POLYNOMIALS + ["hnbetti.hnrec"]
 
 
@@ -314,13 +370,16 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     # Both cost every process start-up time; inspect comes with dataclasses.
     # Each command also loads only the modules it runs: the package is
     # compiled from source when bytecode is not written, so every module
-    # loaded costs every process.
+    # loaded costs every process.  polygons does no polynomial arithmetic, so
+    # it loads no exactalg, and a request in the default text format loads no
+    # json.
+    polygons = ["polygons", "--genus", "2", "--rank", "3", "--deg", "1", "--max-codim", "4"]
     cases = [
         (["--version"], _START),
         (["--help"], _START),
         (["polygons", "--genus", "2"], _START),  # a usage error
-        (["polygons", "--genus", "2", "--rank", "3", "--deg", "1", "--max-codim", "4"],
-         _START + ["hnbetti.exactalg", "hnbetti.render", "hnbetti.strata"]),
+        (polygons, _TYPES),
+        (polygons + ["--format", "json"], _TYPES + _JSON),
         (["sympoly", "--genus", "2", "--points", "2"], _POLYNOMIALS),
         (["divpoly", "--genus", "2", "--rank", "2", "--deg", "1", "--twist", "1"], _POLYNOMIALS),
         (["divseries", "--genus", "2", "--rank", "2", "--truncate", "4"], _POLYNOMIALS),
@@ -329,7 +388,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         (["betti", "--genus", "2", "--rank", "2", "--deg", "1"], _SEMISTABLE),
     ]
     for argv, expected in cases:
-        loaded = json.loads(_fresh_python(_LOADED_BY_COMMAND, *argv))
+        loaded = _fresh_python(_LOADED_BY_COMMAND, *argv).split()
         assert loaded == sorted(expected), argv
     everything = "import sys; before = set(sys.modules); from hnbetti import *; " \
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"

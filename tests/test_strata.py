@@ -222,6 +222,37 @@ def test_enumerate_matches_brute_force():
                     assert got == want, (genus, rank, degree, budget)
 
 
+def _one_call_per_node(rank, degree, genus, max_codim):
+    """(codim, pieces) rows from the walk with one call per node, rank-1 rests included.
+
+    The walk as enumerate_types ran it before it emitted the type of a rank-1
+    rest in the parent; kept as the reference for emission order.
+    """
+    buckets = {}
+
+    def walk(R, D, cap_d, cap_r, budget, codim, prefix):
+        for r1 in range(1, R):
+            base = r1 * (R - r1) * (genus - 1) - r1 * D
+            d_hi = min((budget - base) // R, (cap_d * r1 - 1) // cap_r)
+            for d1 in range(r1 * D // R + 1, d_hi + 1):
+                c1 = R * d1 + base
+                walk(R - r1, D - d1, d1, r1, budget - c1, codim + c1, prefix + ((r1, d1),))
+        buckets.setdefault(codim, []).append(prefix + ((R, D),))
+
+    walk(rank, degree, abs(degree) + max_codim + 1, 1, max_codim, 0, ())
+    return [(codim, pieces) for codim in sorted(buckets)[1:] for pieces in buckets[codim]]
+
+
+def test_enumerate_matches_the_walk_with_one_call_per_node():
+    # The same rows in the same order: emitting a rank-1 rest's type in the
+    # parent changes neither what is listed nor where.
+    for genus in (1, 2, 3):
+        for rank in range(1, 9):
+            for degree in range(-3, 4):
+                got = [(c, t.pieces) for c, t in enumerate_types(rank, degree, genus, 40)]
+                assert got == _one_call_per_node(rank, degree, genus, 40), (genus, rank, degree)
+
+
 def test_enumerated_types_are_valid_through_the_public_constructor():
     # enumerate_types skips HNType validation; every type it lists must still
     # pass it, with int entries.
