@@ -28,7 +28,13 @@ run: the process exits as soon as run returns, and what a request builds is
 freed by reference counting (tests/test_cli.py checks that a larger request
 leaves no more cyclic garbage than a small one).  Left on, the collector
 would walk every live HNType of a large polygons request, over and over, to
-free nothing.  run itself leaves the collector as it found it.
+free nothing.  main also lifts CPython's limit on int-to-decimal conversion
+(sys.int_max_str_digits, 4300 digits by default): a valid request can print or
+cache a coefficient longer than that, and str() would refuse it.  The limit
+guards against parsing huge numbers from untrusted text; the only numbers this
+process parses are its own arguments and its own cache files.  run itself
+leaves the collector and the limit as it found them, so a library caller that
+renders larger integers lifts the limit itself.
 """
 
 from __future__ import annotations
@@ -223,7 +229,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    gc.disable()  # see the module docstring
+    # The collector and the digit limit: see the module docstring.
+    gc.disable()
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
+        sys.set_int_max_str_digits(0)
     sys.exit(run())
 
 

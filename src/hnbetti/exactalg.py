@@ -6,13 +6,12 @@ are stripped, the zero polynomial is the empty tuple and has degree None.
 TruncatedSeries keeps exactly ``truncation_order + 1`` coefficients, trailing
 zeros included, and represents a power series modulo t^(truncation_order + 1).
 
-Series equality is prefix agreement: two series compare equal when their
-coefficients agree up to the smaller of the two truncation orders.  That is the
-only meaningful comparison between truncations of the same underlying series,
-and it is deliberately not transitive; series are unhashable for that reason.
+Series are values, compared and hashed like every record; agrees_with
+compares two truncations on their common prefix.
 
-Every product of two coefficient vectors (polynomial by polynomial, series by
-polynomial, series by series) goes through one kernel, _convolve.
+``*`` takes two coefficient vectors (polynomial by polynomial, series by
+polynomial, series by series), and every such product goes through one kernel,
+_convolve.  To scale by an integer c, multiply by ExactPolynomial((c,)).
 
 Both types are _Record subclasses, and every integer argument passes
 _check_int; the two helpers live in _base, which every layer imports.
@@ -165,9 +164,7 @@ class ExactPolynomial(_Record):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: Union["ExactPolynomial", int]):
-        if isinstance(other, int):
-            return ExactPolynomial(tuple(c * other for c in self.coefficients))
+    def __mul__(self, other: "ExactPolynomial"):
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         a, b = self.coefficients, other.coefficients
@@ -175,11 +172,6 @@ class ExactPolynomial(_Record):
             return ExactPolynomial.zero()
         # Leading coefficients are nonzero, so their product is: nothing to trim.
         return ExactPolynomial._trusted(_convolve(a, b, len(a) + len(b) - 2))
-
-    def __rmul__(self, other: int):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, exponent: int) -> "ExactPolynomial":
         _check_int("exponent", exponent, 0)
@@ -235,12 +227,6 @@ class ExactPolynomial(_Record):
             raise ValueError("palindromicity is undefined for the zero polynomial")
         cs = self.coefficients
         return all(cs[i] == cs[-1 - i] for i in range(len(cs) // 2 + 1))
-
-    def as_series(self, order: int) -> "TruncatedSeries":
-        """This polynomial reduced modulo t^(order+1)."""
-        _check_int("truncation order", order, 0)
-        coeffs = self.coefficients[: order + 1]
-        return TruncatedSeries._trusted(coeffs + (0,) * (order + 1 - len(coeffs)), order)
 
     def inverse_series(self, order: int) -> "TruncatedSeries":
         """Multiplicative inverse as a power series modulo t^(order+1).
@@ -322,13 +308,6 @@ class TruncatedSeries(_Record):
         order = min(self.truncation_order, other.truncation_order)
         return self.coefficients[: order + 1] == other.coefficients[: order + 1]
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return self.agrees_with(other)
-        return NotImplemented
-
-    __hash__ = None  # prefix equality is not hash-compatible
-
     def _binary(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         order = min(self.truncation_order, other.truncation_order)
         a, b = self.coefficients, other.coefficients
@@ -346,11 +325,7 @@ class TruncatedSeries(_Record):
             return NotImplemented
         return self._binary(other, -1)
 
-    def __mul__(self, other: Union["TruncatedSeries", ExactPolynomial, int]):
-        if isinstance(other, int):
-            return TruncatedSeries._trusted(
-                tuple(c * other for c in self.coefficients), self.truncation_order
-            )
+    def __mul__(self, other: Union["TruncatedSeries", ExactPolynomial]):
         if isinstance(other, ExactPolynomial):
             # A polynomial is exact, so the product stays known to the same order.
             order = self.truncation_order
@@ -362,7 +337,8 @@ class TruncatedSeries(_Record):
             _convolve(self.coefficients, other.coefficients, order), order
         )
 
-    def __rmul__(self, other: Union[ExactPolynomial, int]):
-        if isinstance(other, (int, ExactPolynomial)):
+    def __rmul__(self, other: ExactPolynomial):
+        # polynomial * series: ExactPolynomial.__mul__ returns NotImplemented for a series.
+        if isinstance(other, ExactPolynomial):
             return self * other
         return NotImplemented

@@ -325,14 +325,17 @@ class MemoStore:
         # and mode 0o666 less the umask is what a plain open would give.
         tmp = self.cache_dir / f".{name}.{os.urandom(8).hex()}.tmp"
         try:
+            # Rendered before the temp file exists, so a coefficient longer
+            # than sys.int_max_str_digits (a ValueError) leaves no file behind.
+            text = render_json(doc) + "\n"
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             self.warnings.append(f"cache file {name}: write failed: {exc}")
             return
         try:
             with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(render_json(doc) + "\n")
+                fh.write(text)
             os.replace(tmp, self.cache_dir / name)
         except OSError as exc:
             self.warnings.append(f"cache file {name}: write failed: {exc}")

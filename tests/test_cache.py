@@ -11,6 +11,7 @@ import pytest
 
 import hnbetti
 from hnbetti.cli import run
+from hnbetti.exactalg import TruncatedSeries
 from hnbetti.hnrec import MemoStore, ss_series
 
 PACKAGE_PARENT = str(Path(hnbetti.__file__).resolve().parent.parent)
@@ -151,6 +152,56 @@ def test_deeply_nested_file_is_a_miss(capsys, tmp_path):
         assert out == cold
         assert err == "cache warning: cache file ss_g2_r2_n1.json: " \
             "malformed document: JSON nested too deeply\n"
+
+
+def test_document_of_another_kind_is_a_miss(capsys, tmp_path):
+    # A well-formed polynomial document where the series of the key belongs.
+    assert run(["sympoly", "--genus", "2", "--points", "1", "--format", "json"]) == 0
+    polynomial, _ = capsys.readouterr()
+    argv = ["betti", "--genus", "2", "--rank", "2", "--deg", "1", "--cache-dir", str(tmp_path)]
+    assert run(argv) == 0
+    cold, _ = capsys.readouterr()
+    for strict, code in ((False, 0), (True, 4)):
+        (tmp_path / "ss_g2_r2_n1.json").write_text(polynomial, encoding="utf-8")
+        assert run(argv + ["--strict-cache"] * strict) == code
+        out, err = capsys.readouterr()
+        assert out == cold
+        assert err == "cache warning: cache file ss_g2_r2_n1.json: " \
+            "unexpected document kind 'polynomial'\n"
+
+
+def test_cache_dir_that_is_a_file_is_a_write_failure(capsys, tmp_path):
+    argv = ["betti", "--genus", "2", "--rank", "2", "--deg", "1", "--cache-dir"]
+    assert run(argv + [str(tmp_path / "dir")]) == 0
+    cold, _ = capsys.readouterr()
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("", encoding="utf-8")
+    for strict, code in ((False, 0), (True, 4)):
+        assert run(argv + [str(not_a_dir)] + ["--strict-cache"] * strict) == code
+        out, err = capsys.readouterr()
+        assert out == cold
+        assert "cache warning: cache file ss_g2_r2_n1.json: write failed: " in err
+    assert not_a_dir.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7"
+)
+def test_unrenderable_series_is_a_write_failure(tmp_path):
+    # render_json raised inside the write, after the temp file was opened: the
+    # ValueError reached the caller and the empty temp file stayed.
+    series = TruncatedSeries((10**699, 1), 1)
+    memo = MemoStore(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        memo.store(2, 1, 0, series)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(memo.warnings) == 1
+    assert memo.warnings[0].startswith("cache file ss_g2_r1_n0.json: write failed: ")
+    assert list(tmp_path.iterdir()) == []
+    assert memo.lookup(2, 1, 0, 1) == series
 
 
 def test_one_file_per_key_holds_the_longest_series(tmp_path):

@@ -185,6 +185,23 @@ def test_exit_3_on_poisoned_cache(capsys, tmp_path):
     assert "failed_checks" in err
 
 
+def test_exit_3_on_nonzero_tail(capsys, tmp_path):
+    # Coefficient 15 lies past 2 dim = 10, so only the tail check fails, and
+    # the diagnostic names the first nonzero tail coefficient.
+    argv = ("betti", "--genus", "2", "--rank", "2", "--deg", "1", "--cache-dir", str(tmp_path))
+    assert _run(capsys, *argv)[0] == 0
+    path = tmp_path / "ss_g2_r2_n1.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["coefficients"][15] = str(int(data["coefficients"][15]) + 1)
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+    code, out, err = _run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "  failed_checks: ['tail_vanishes']\n" in err
+    assert err.endswith("  first_nonzero_tail_index: 15\n")
+
+
 def test_exit_4_strict_cache(capsys, tmp_path):
     (tmp_path / "ss_g2_r2_n1.json").write_text("{ not json", encoding="utf-8")
     code, out, err = _run(
@@ -297,6 +314,64 @@ def test_run_leaves_the_collector_as_it_found_it(capsys):
             gc.enable()
         else:
             gc.disable()
+
+
+_HAS_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7"
+)
+
+
+@_HAS_DIGIT_LIMIT
+def test_run_leaves_the_digit_limit_as_it_found_it(capsys):
+    # main lifts the limit for its own process; run, which library callers
+    # and tests call, does not touch it.
+    limit = sys.get_int_max_str_digits()
+    try:
+        for value in (5000, 0):
+            sys.set_int_max_str_digits(value)
+            code, _, err = _run(capsys, "sympoly", "--genus", "2", "--points", "1")
+            assert code == 0, err
+            assert sys.get_int_max_str_digits() == value
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _cli_under_digit_limit(*argv):
+    """`python -m hnbetti ARGV` with int-to-str conversion limited to 640 digits."""
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+               PYTHONPATH=str(Path(hnbetti.__file__).resolve().parent.parent))
+    env.pop("HNBETTI_CACHE_DIR", None)
+    return subprocess.run([sys.executable, "-m", "hnbetti", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_sympoly_prints_integers_past_the_digit_limit():
+    # This exited 1 with a traceback from render_csv.
+    from hnbetti.genfun import sym_product_poly
+
+    proc = _cli_under_digit_limit("sympoly", "--genus", "1100", "--points", "1100",
+                                  "--format", "csv")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    coeffs = sym_product_poly(1100, 1100).coefficients
+    assert max(coeffs) > 10 ** 640
+    assert proc.stdout == "\n".join(f"{i},{c}" for i, c in enumerate(coeffs)) + "\n"
+
+
+def test_betti_prints_and_caches_integers_past_the_digit_limit(tmp_path):
+    # This exited 2 with "error: Exceeds the limit (640 digits)", raised while
+    # writing the cache file, and left an empty temp file behind.
+    from hnbetti.hnrec import betti_poly, ss_series
+
+    proc = _cli_under_digit_limit("betti", "--genus", "1100", "--rank", "1", "--deg", "0",
+                                  "--cache-dir", str(tmp_path), "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = betti_poly(1100, 1, 0)
+    assert max(report.polynomial.coefficients) > 10 ** 640
+    assert json.loads(proc.stdout)["coefficients"] == [
+        str(c) for c in report.polynomial.coefficients]
+    assert [p.name for p in tmp_path.iterdir()] == ["ss_g1100_r1_n0.json"]
+    cached = parse_json((tmp_path / "ss_g1100_r1_n0.json").read_text(encoding="utf-8"))
+    assert cached.payload == ss_series(1100, 1, 0, report.truncation_used)
 
 
 @pytest.mark.parametrize(

@@ -160,13 +160,16 @@ def test_palindromic():
 
 
 def test_series_prefix_equality():
+    # Series compare as values; agreement on the common prefix is agrees_with.
     s3 = TruncatedSeries((1, 2, 3, 4), 3)
     s5 = TruncatedSeries((1, 2, 3, 4, 9, 9), 5)
-    assert s3 == s5
-    assert s3.agrees_with(s5)
-    assert s3 != TruncatedSeries((1, 2, 4, 4), 3)
-    with pytest.raises(TypeError):
-        hash(s3)
+    other = TruncatedSeries((1, 2, 4, 4), 3)
+    assert s3 != s5
+    assert s3.agrees_with(s5) and s5.agrees_with(s3)
+    assert not s3.agrees_with(other) and not other.agrees_with(s5)
+    copy = TruncatedSeries((1, 2, 3, 4), 3)
+    assert s3 == copy and hash(s3) == hash(copy)
+    assert len({s3, s5, copy}) == 2
 
 
 def test_series_shape_is_checked():
@@ -187,17 +190,22 @@ def test_series_truncate_and_shift():
 
 
 def test_series_products_truncate_to_min_order():
-    a = ExactPolynomial((1, 1)).as_series(5)
+    a = TruncatedSeries((1, 1, 0, 0, 0, 0), 5)
     b = ExactPolynomial((1, -1)).inverse_series(3)
     assert (a * b).truncation_order == 3
     assert (a * b).coefficients == (1, 2, 2, 2)
     # Polynomial factors keep the full series order.
     assert (b * ExactPolynomial((1, 1))).truncation_order == 3
-    assert (3 * b).coefficients == (3, 3, 3, 3)
+    assert (ExactPolynomial((3,)) * b).coefficients == (3, 3, 3, 3)
+    # * takes two coefficient vectors, never a bare int.
+    p = ExactPolynomial((1, 2))
+    for product in (lambda: 3 * b, lambda: b * 3, lambda: 2 * p, lambda: p * 2):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_series_polynomial_prefix():
-    s = ExactPolynomial((5, 0, -2)).as_series(6)
+    s = TruncatedSeries((5, 0, -2, 0, 0, 0, 0), 6)
     assert s.polynomial_prefix(4).coefficients == (5, 0, -2)
     with pytest.raises(ValueError):
         s.polynomial_prefix(7)
@@ -211,8 +219,6 @@ def test_negative_orders_are_rejected():
         s.truncate(-1)
     with pytest.raises(ValueError, match="prefix degree must be an integer >= 0"):
         s.polynomial_prefix(-1)
-    with pytest.raises(ValueError, match="truncation order must be an integer >= 0"):
-        ExactPolynomial((1, 2)).as_series(-1)
 
 
 def test_series_addition_mixed_orders():

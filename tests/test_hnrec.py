@@ -125,7 +125,7 @@ def composition_reference(genus, rank, degree, order):
         for i in range(k - 1):
             step = 2 * (parts[i] + parts[i + 1])
             term = term * ExactPolynomial.from_terms({0: 1, step: -1}).inverse_series(order - e)
-        total = total + (term * (-1) ** (k - 1)).times_t_power(e)
+        total = total + (term * ExactPolynomial(((-1) ** (k - 1),))).times_t_power(e)
     return total
 
 
