@@ -24,7 +24,6 @@ _HOMES = {
         "sym_product_poly",
     ),
     "hnrec": (
-        "BettiChecks",
         "BettiReport",
         "MemoStore",
         "StructuralCheckError",

@@ -11,10 +11,15 @@ shared --format/--cache-dir/--strict-cache to all six:
 * ssseries   Poincare series of the semistable locus
 * betti      checked Betti polynomial of the stable-bundle moduli space
 
+Every betti answer has passed the structural checks of hnrec.betti_poly;
+there is no flag to skip them.
+
 Exit codes: 0 success; 2 invalid arguments (including non-coprime rank and
 degree, genus 0 where the recursion needs genus >= 1, negative truncation);
-3 internal structural check failure, with a diagnostic dump on stderr;
-4 cache I/O warnings escalated by --strict-cache (the result is still printed).
+3 internal structural check failure: nothing on stdout, and on stderr a
+diagnostic dump naming the failed checks and printing every coefficient of
+the collapsed series; 4 cache I/O warnings escalated by --strict-cache (the
+result is still printed).
 Output for a given command line is byte-deterministic, warm or cold cache.
 
 _execute builds one OutputDocument per command; every command but sympoly
@@ -53,7 +58,7 @@ if TYPE_CHECKING:
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_CHECK_FAILED = 3
+EXIT_CHECK_FAILURE = 3
 EXIT_CACHE = 4
 
 
@@ -110,21 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
         "Poincare series of the semistable locus",
         "genus", "rank", "deg", "truncate",
     )
-    p = command(
+    command(
         "betti",
         "checked Betti polynomial of the stable-bundle moduli space",
         "genus", "rank", "deg",
         truncate="truncation order (default: 2*dim + 10; must be >= 2*dim)",
-    )
-    p.add_argument(
-        "--skip-checks",
-        action="store_true",
-        help="emit the polynomial without structural verification; requires --unsafe",
-    )
-    p.add_argument(
-        "--unsafe",
-        action="store_true",
-        help="confirm that skipping verification is intended",
     )
 
     for p in sub.choices.values():
@@ -178,17 +173,10 @@ def _execute(args: argparse.Namespace, memo: Optional[MemoStore]) -> OutputDocum
         kind = "series"
         payload = ss_series(args.genus, args.rank, args.deg, args.truncate, memo)
     else:
-        if args.skip_checks and not args.unsafe:
-            raise ValueError(
-                "--skip-checks drops the structural guarantees; pass --unsafe as well "
-                "to confirm"
-            )
         from .hnrec import betti_poly
 
         kind = "betti-report"
-        payload = betti_poly(
-            args.genus, args.rank, args.deg, args.truncate, memo, verify=not args.skip_checks
-        )
+        payload = betti_poly(args.genus, args.rank, args.deg, args.truncate, memo)
     return OutputDocument(kind, payload, genus=args.genus, rank=args.rank, degree=args.deg)
 
 
@@ -216,7 +204,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal check failure: {exc}", file=sys.stderr)
         for key, value in exc.diagnostic.items():
             print(f"  {key}: {value}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_CHECK_FAILURE
     from .render import render
 
     print(render(doc, args.format))

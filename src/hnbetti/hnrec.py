@@ -146,62 +146,50 @@ class StructuralCheckError(RuntimeError):
         self.diagnostic = dict(diagnostic or {})
 
 
-class BettiChecks(_Record):
-    """Outcome of the four structural checks on a Betti polynomial.
+# The structural checks on a Betti polynomial, in the order _failed_checks
+# and the exit-3 diagnostic list them, and the keys of a Betti report's JSON
+# "checks" object, each true.
+CHECK_NAMES = ("tail_vanishes", "degree_matches_2dim", "palindromic", "nonnegative")
 
-    Every field is a bool: failed() reads any other value by its truth, so a
-    "no" from outside would read as a pass.
+
+def _failed_checks(poly: ExactPolynomial, dim: int, tail: tuple[int, ...] = ()) -> list[str]:
+    """Names of the checks of CHECK_NAMES that poly fails, in that order.
+
+    tail holds the collapsed series' coefficients past t^(2 dim).
     """
-
-    __slots__ = ("tail_vanishes", "degree_matches_2dim", "palindromic", "nonnegative")
-
-    def __init__(
-        self,
-        tail_vanishes: bool,
-        degree_matches_2dim: bool,
-        palindromic: bool,
-        nonnegative: bool,
-    ) -> None:
-        values = (tail_vanishes, degree_matches_2dim, palindromic, nonnegative)
-        for name, value in zip(self.__slots__, values):
-            if type(value) is not bool:
-                raise ValueError(f"check {name} must be true or false, got {value!r}")
-        self._fill(*values)
-
-    def failed(self) -> list[str]:
-        """Names of the failed checks, in field order."""
-        return [name for name in self.__slots__ if not getattr(self, name)]
-
-    def all_pass(self) -> bool:
-        return not self.failed()
+    passed = (
+        not any(tail),
+        poly.degree == 2 * dim,
+        (not poly.is_zero()) and poly.is_palindromic(),
+        all(c >= 0 for c in poly.coefficients),
+    )
+    return [name for name, ok in zip(CHECK_NAMES, passed) if not ok]
 
 
 class BettiReport(_Record):
-    """A verified Betti polynomial with its context.  checks is None when skipped.
+    """A Betti polynomial that passed the structural checks, with its context.
 
-    The fields are checked against each other, as betti_poly builds them:
-    dimension >= 1, truncation >= 2*dim and polynomial degree <= 2*dim.  A
-    report parsed from JSON is held to the same rule.
+    The fields are checked against each other: dimension >= 1, truncation >=
+    2*dim, and the polynomial passes every check its fields can show (degree
+    exactly 2*dim, palindromic, nonnegative), or ValueError names the checks
+    it fails.  tail_vanishes is the one check a report cannot re-run: it
+    needs the series past t^(2*dim), which betti_poly checks before it builds
+    the report.  A report parsed from JSON is held to the same rule.
     """
 
-    __slots__ = ("polynomial", "moduli_dimension", "truncation_used", "checks")
+    __slots__ = ("polynomial", "moduli_dimension", "truncation_used")
 
     def __init__(
-        self,
-        polynomial: ExactPolynomial,
-        moduli_dimension: int,
-        truncation_used: int,
-        checks: Optional[BettiChecks],
+        self, polynomial: ExactPolynomial, moduli_dimension: int, truncation_used: int
     ) -> None:
         if not isinstance(polynomial, ExactPolynomial):
             raise ValueError(f"Betti polynomial must be an ExactPolynomial, got {polynomial!r}")
-        top = 2 * _check_int("dimension", moduli_dimension, 1)
-        _check_int("truncation", truncation_used, top)
-        if (polynomial.degree or 0) > top:
-            raise ValueError(f"Betti polynomial of degree {polynomial.degree} exceeds 2*dim = {top}")
-        if checks is not None and not isinstance(checks, BettiChecks):
-            raise ValueError(f"checks must be a BettiChecks or None, got {checks!r}")
-        self._fill(polynomial, moduli_dimension, truncation_used, checks)
+        dim = _check_int("dimension", moduli_dimension, 1)
+        _check_int("truncation", truncation_used, 2 * dim)
+        failed = _failed_checks(polynomial, dim)
+        if failed:
+            raise ValueError(f"Betti polynomial fails the checks {', '.join(failed)}")
+        self._fill(polynomial, moduli_dimension, truncation_used)
 
 
 class MemoStore:
@@ -432,16 +420,15 @@ def betti_poly(
     degree: int,
     order: Optional[int] = None,
     memo: Optional[MemoStore] = None,
-    verify: bool = True,
 ) -> BettiReport:
     """Betti polynomial of the moduli space of stable bundles, fully checked.
 
     Requires gcd(rank, degree) = 1, so that stability and semistability agree.
     The truncation order defaults to 2*dim + TRUNCATION_SLACK and may not be
-    smaller than 2*dim, the degree of the answer.  With verify=True (the
-    default) the four structural checks must pass or StructuralCheckError is
-    raised with a diagnostic dump; verify=False skips the checks entirely and
-    the report carries checks=None.
+    smaller than 2*dim, the degree of the answer.  Every check of CHECK_NAMES
+    must pass, or StructuralCheckError is raised with a diagnostic dump: the
+    failed checks, in that order, and every coefficient of the collapsed
+    series.
     """
     dim = dim_moduli(genus, rank)  # checks genus, then rank
     _check_int("degree", degree)
@@ -461,17 +448,8 @@ def betti_poly(
     semistable = ss_series(genus, rank, degree, order, memo)
     collapsed = semistable * ExactPolynomial.from_terms({0: 1, 2: -1})
     poly = collapsed.polynomial_prefix(2 * dim)
-    if not verify:
-        return BettiReport(poly, dim, order, None)
-
     tail = collapsed.coefficients[2 * dim + 1 :]
-    checks = BettiChecks(
-        tail_vanishes=not any(tail),
-        degree_matches_2dim=poly.degree == 2 * dim,
-        palindromic=(not poly.is_zero()) and poly.is_palindromic(),
-        nonnegative=all(c >= 0 for c in poly.coefficients),
-    )
-    failed = checks.failed()
+    failed = _failed_checks(poly, dim, tail)
     if failed:
         diagnostic = {
             "genus": genus,
@@ -482,7 +460,7 @@ def betti_poly(
             "failed_checks": failed,
             "coefficients": list(collapsed.coefficients),
         }
-        if not checks.tail_vanishes:
+        if any(tail):
             diagnostic["first_nonzero_tail_index"] = 2 * dim + 1 + next(
                 i for i, c in enumerate(tail) if c
             )
@@ -490,7 +468,7 @@ def betti_poly(
             "Betti polynomial failed structural checks: " + ", ".join(failed),
             diagnostic,
         )
-    return BettiReport(poly, dim, order, checks)
+    return BettiReport(poly, dim, order)
 
 
 def rank2_oracle(genus: int, degree: int, order: int) -> TruncatedSeries:

@@ -9,6 +9,10 @@ survive any JSON reader, the zero polynomial is the single string "0", and
 object always carries the same keys, with null for fields that do not apply
 to the kind; type lists additionally carry a "types" key.
 
+A Betti report has passed every structural check (hnrec.CHECK_NAMES), so its
+text says "checks: all pass" and its JSON "checks" object holds each check's
+name, true.  parse_json reads no other "checks" value.
+
 Each renderer reads a polynomial, series or Betti-report document through one
 view, its coefficients and its series order or None.  A type list's payload is
 a tuple of (codimension, HNType) rows, as strata.enumerate_types returns them:
@@ -18,13 +22,10 @@ the renderers write the codimensions they are given and compute none.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._base import _Record, _check_int
 from ._version import __version__
-
-if TYPE_CHECKING:
-    from .hnrec import BettiChecks
 
 # Each kind's payload class, by its home module.  It is imported only when a
 # document of that kind is built, so that a document loads only the layer
@@ -136,13 +137,6 @@ def _type_rows(doc: OutputDocument) -> Iterator[tuple[int, str]]:
         yield codim, "".join(parts)
 
 
-def _checks_word(checks: Optional[BettiChecks]) -> str:
-    if checks is None:
-        return "skipped"
-    failed = checks.failed()
-    return "FAILED " + ", ".join(failed) if failed else "all pass"
-
-
 def render_text(doc: OutputDocument) -> str:
     metadata = ", ".join(
         f"{label} {value}"
@@ -154,11 +148,7 @@ def render_text(doc: OutputDocument) -> str:
         return "\n".join(lines + [f"({len(doc.payload)} types; {metadata})"])
     body = _expression(doc, braces=False)
     if doc.kind == "betti-report":
-        report = doc.payload
-        return (
-            f"{body}  (dim {report.moduli_dimension}, "
-            f"checks: {_checks_word(report.checks)})"
-        )
+        return f"{body}  (dim {doc.payload.moduli_dimension}, checks: all pass)"
     return f"{body}  ({metadata})" if metadata else body
 
 
@@ -201,12 +191,12 @@ def render_json(doc: OutputDocument) -> str:
     obj["coefficients"] = [str(c) for c in coeffs] or ["0"]
     obj["truncation"] = order
     if doc.kind == "betti-report":
+        from .hnrec import CHECK_NAMES  # loaded already: it made the payload
+
         report = doc.payload
         obj["truncation"] = report.truncation_used
         obj["dimension"] = report.moduli_dimension
-        if report.checks is not None:
-            checks = report.checks
-            obj["checks"] = {name: getattr(checks, name) for name in checks.__slots__}
+        obj["checks"] = dict.fromkeys(CHECK_NAMES, True)
     return json.dumps(obj, check_circular=False)
 
 
@@ -246,14 +236,21 @@ def parse_json(text: str) -> OutputDocument:
             coeffs = _coefficients(data["coefficients"])
             payload = TruncatedSeries(coeffs, _check_int("truncation", data["truncation"]))
         elif kind == "betti-report":
-            from .hnrec import BettiChecks, BettiReport
+            from .hnrec import CHECK_NAMES, BettiReport
 
+            # Exactly what render_json writes.  1 == True, so each value is
+            # checked to be True itself.
             checks = data["checks"]
+            if checks != dict.fromkeys(CHECK_NAMES, True) or any(
+                value is not True for value in checks.values()
+            ):
+                raise ValueError(
+                    f"checks must be {', '.join(CHECK_NAMES)}, each true; got {checks!r}"
+                )
             payload = BettiReport(
                 polynomial=ExactPolynomial(_coefficients(data["coefficients"])),
                 moduli_dimension=data["dimension"],
                 truncation_used=data["truncation"],
-                checks=None if checks is None else BettiChecks(**checks),
             )
         elif kind == "type-list":
             from .strata import HNType, stratum_codim

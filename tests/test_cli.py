@@ -101,6 +101,201 @@ def test_polygons_deep_stdout_is_pinned(capsys, request_args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == POLYGONS_DEEP[request_args]
 
 
+# One small request of each subcommand in each of the four formats, with the
+# text format as the default, and the usage errors: command line -> (exit
+# code, stdout, stderr), byte for byte.
+PINNED_RUNS = {
+    "sympoly-text": (
+        "sympoly --genus 2 --points 2", 0,
+        "1 + 4t + 7t^2 + 4t^3 + t^4  (genus 2, deg 2)\n",
+        "",
+    ),
+    "sympoly-json": (
+        "sympoly --genus 2 --points 2 --format json", 0,
+        '{"kind": "polynomial", "genus": 2, "rank": null, "degree": 2, "variable": '
+        '"t", "coefficients": ["1", "4", "7", "4", "1"], "truncation": null, '
+        '"dimension": null, "checks": null, "version": "0.1.0"}\n',
+        "",
+    ),
+    "sympoly-latex": (
+        "sympoly --genus 2 --points 2 --format latex", 0,
+        "1 + 4t + 7t^{2} + 4t^{3} + t^{4}\n",
+        "",
+    ),
+    "sympoly-csv": (
+        "sympoly --genus 2 --points 2 --format csv", 0,
+        "0,1\n1,4\n2,7\n3,4\n4,1\n",
+        "",
+    ),
+    "divpoly-text": (
+        "divpoly --genus 2 --rank 2 --deg 1 --twist 1", 0,
+        "1 + 4t + 2t^2 + 4t^3 + t^4  (genus 2, rank 2, deg 1)\n",
+        "",
+    ),
+    "divpoly-json": (
+        "divpoly --genus 2 --rank 2 --deg 1 --twist 1 --format json", 0,
+        '{"kind": "polynomial", "genus": 2, "rank": 2, "degree": 1, "variable": '
+        '"t", "coefficients": ["1", "4", "2", "4", "1"], "truncation": null, '
+        '"dimension": null, "checks": null, "version": "0.1.0"}\n',
+        "",
+    ),
+    "divpoly-latex": (
+        "divpoly --genus 2 --rank 2 --deg 1 --twist 1 --format latex", 0,
+        "1 + 4t + 2t^{2} + 4t^{3} + t^{4}\n",
+        "",
+    ),
+    "divpoly-csv": (
+        "divpoly --genus 2 --rank 2 --deg 1 --twist 1 --format csv", 0,
+        "0,1\n1,4\n2,2\n3,4\n4,1\n",
+        "",
+    ),
+    "divseries-text": (
+        "divseries --genus 2 --rank 2 --truncate 4", 0,
+        "1 + 4t + 8t^2 + 16t^3 + 33t^4 + O(t^5)  (genus 2, rank 2)\n",
+        "",
+    ),
+    "divseries-json": (
+        "divseries --genus 2 --rank 2 --truncate 4 --format json", 0,
+        '{"kind": "series", "genus": 2, "rank": 2, "degree": null, "variable": '
+        '"t", "coefficients": ["1", "4", "8", "16", "33"], "truncation": 4, '
+        '"dimension": null, "checks": null, "version": "0.1.0"}\n',
+        "",
+    ),
+    "divseries-latex": (
+        "divseries --genus 2 --rank 2 --truncate 4 --format latex", 0,
+        "1 + 4t + 8t^{2} + 16t^{3} + 33t^{4} + O(t^{5})\n",
+        "",
+    ),
+    "divseries-csv": (
+        "divseries --genus 2 --rank 2 --truncate 4 --format csv", 0,
+        "0,1\n1,4\n2,8\n3,16\n4,33\n",
+        "",
+    ),
+    "polygons-text": (
+        "polygons --genus 2 --rank 3 --deg 1 --max-codim 6", 0,
+        "codim 3: (2;1)(1;0)\ncodim 4: (1;1)(2;0)\ncodim 6: (2;2)(1;-1)\n(3 types; "
+        "genus 2, rank 3, deg 1)\n",
+        "",
+    ),
+    "polygons-json": (
+        "polygons --genus 2 --rank 3 --deg 1 --max-codim 6 --format json", 0,
+        '{"kind": "type-list", "genus": 2, "rank": 3, "degree": 1, "variable": '
+        '"t", "coefficients": null, "truncation": null, "dimension": null, '
+        '"checks": null, "version": "0.1.0", "types": [{"codim": 3, "pieces": [[2, '
+        '1], [1, 0]]}, {"codim": 4, "pieces": [[1, 1], [2, 0]]}, {"codim": 6, '
+        '"pieces": [[2, 2], [1, -1]]}]}\n',
+        "",
+    ),
+    "polygons-latex": (
+        "polygons --genus 2 --rank 3 --deg 1 --max-codim 6 --format latex", 0,
+        "\\left[(2;1)(1;0)\\right]_{3},\\ \\left[(1;1)(2;0)\\right]_{4},\\ "
+        "\\left[(2;2)(1;-1)\\right]_{6}\n",
+        "",
+    ),
+    "polygons-csv": (
+        "polygons --genus 2 --rank 3 --deg 1 --max-codim 6 --format csv", 0,
+        "3,(2;1)(1;0)\n4,(1;1)(2;0)\n6,(2;2)(1;-1)\n",
+        "",
+    ),
+    "ssseries-text": (
+        "ssseries --genus 2 --rank 2 --deg 1 --truncate 6", 0,
+        "1 + 4t + 8t^2 + 16t^3 + 32t^4 + 48t^5 + 56t^6 + O(t^7)  (genus 2, rank 2, "
+        "deg 1)\n",
+        "",
+    ),
+    "ssseries-json": (
+        "ssseries --genus 2 --rank 2 --deg 1 --truncate 6 --format json", 0,
+        '{"kind": "series", "genus": 2, "rank": 2, "degree": 1, "variable": "t", '
+        '"coefficients": ["1", "4", "8", "16", "32", "48", "56"], "truncation": 6, '
+        '"dimension": null, "checks": null, "version": "0.1.0"}\n',
+        "",
+    ),
+    "ssseries-latex": (
+        "ssseries --genus 2 --rank 2 --deg 1 --truncate 6 --format latex", 0,
+        "1 + 4t + 8t^{2} + 16t^{3} + 32t^{4} + 48t^{5} + 56t^{6} + O(t^{7})\n",
+        "",
+    ),
+    "ssseries-csv": (
+        "ssseries --genus 2 --rank 2 --deg 1 --truncate 6 --format csv", 0,
+        "0,1\n1,4\n2,8\n3,16\n4,32\n5,48\n6,56\n",
+        "",
+    ),
+    "betti-text": (
+        "betti --genus 2 --rank 2 --deg 1", 0,
+        "1 + 4t + 7t^2 + 12t^3 + 24t^4 + 32t^5 + 24t^6 + 12t^7 + 7t^8 + 4t^9 + "
+        "t^10  (dim 5, checks: all pass)\n",
+        "",
+    ),
+    "betti-json": (
+        "betti --genus 2 --rank 2 --deg 1 --format json", 0,
+        '{"kind": "betti-report", "genus": 2, "rank": 2, "degree": 1, "variable": '
+        '"t", "coefficients": ["1", "4", "7", "12", "24", "32", "24", "12", "7", '
+        '"4", "1"], "truncation": 20, "dimension": 5, "checks": {"tail_vanishes": '
+        'true, "degree_matches_2dim": true, "palindromic": true, "nonnegative": '
+        'true}, "version": "0.1.0"}\n',
+        "",
+    ),
+    "betti-latex": (
+        "betti --genus 2 --rank 2 --deg 1 --format latex", 0,
+        "1 + 4t + 7t^{2} + 12t^{3} + 24t^{4} + 32t^{5} + 24t^{6} + 12t^{7} + "
+        "7t^{8} + 4t^{9} + t^{10}\n",
+        "",
+    ),
+    "betti-csv": (
+        "betti --genus 2 --rank 2 --deg 1 --format csv", 0,
+        "0,1\n1,4\n2,7\n3,12\n4,24\n5,32\n6,24\n7,12\n8,7\n9,4\n10,1\n",
+        "",
+    ),
+    "usage-non-coprime": (
+        "betti --genus 2 --rank 2 --deg 2", 2,
+        "",
+        "error: rank and degree must be coprime (gcd(2, 2) = 2); otherwise stable "
+        "and semistable bundles differ\n",
+    ),
+    "usage-genus-0": (
+        "betti --genus 0 --rank 2 --deg 1", 2,
+        "",
+        "error: genus must be an integer >= 1, got 0\n",
+    ),
+    "usage-truncate-below-2dim": (
+        "betti --genus 2 --rank 2 --deg 1 --truncate 9", 2,
+        "",
+        "error: truncation order 9 cannot hold the degree-10 Betti polynomial\n",
+    ),
+    "usage-unknown-flag": (
+        "sympoly --genus 2 --points 2 --colour", 2,
+        "",
+        "usage: hnbetti [-h] [--version]\n               "
+        "{sympoly,divpoly,divseries,polygons,ssseries,betti} ...\nhnbetti: error: "
+        "unrecognized arguments: --colour\n",
+    ),
+    # Every betti answer is checked: there is no flag to skip the checks.
+    "usage-skip-checks": (
+        "betti --genus 2 --rank 2 --deg 1 --skip-checks", 2,
+        "",
+        "usage: hnbetti [-h] [--version]\n               "
+        "{sympoly,divpoly,divseries,polygons,ssseries,betti} ...\nhnbetti: error: "
+        "unrecognized arguments: --skip-checks\n",
+    ),
+    "usage-skip-checks-unsafe": (
+        "betti --genus 2 --rank 2 --deg 1 --skip-checks --unsafe", 2,
+        "",
+        "usage: hnbetti [-h] [--version]\n               "
+        "{sympoly,divpoly,divseries,polygons,ssseries,betti} ...\nhnbetti: error: "
+        "unrecognized arguments: --skip-checks --unsafe\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_stdout_stderr_and_exit_code_are_pinned(capsys, monkeypatch, name):
+    # argparse wraps its usage text to $COLUMNS, else to the terminal's width.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("HNBETTI_CACHE_DIR", raising=False)
+    command_line, *expected = PINNED_RUNS[name]
+    assert list(_run(capsys, *command_line.split())) == expected
+
+
 def test_ssseries_json_roundtrip(capsys):
     code, out, _ = _run(
         capsys, "ssseries", "--genus", "2", "--rank", "2", "--deg", "1",
@@ -139,27 +334,6 @@ def test_exit_2_argparse_errors(capsys):
     assert _run(capsys, "betti", "--genus", "2", "--rank", "2")[0] == 2
     assert _run(capsys, "betti", "--genus", "2", "--rank", "2", "--deg", "1",
                 "--format", "html")[0] == 2
-
-
-def test_skip_checks_needs_unsafe(capsys):
-    code, _, err = _run(
-        capsys, "betti", "--genus", "2", "--rank", "2", "--deg", "1", "--skip-checks"
-    )
-    assert code == 2
-    assert "--unsafe" in err
-
-    code, out, _ = _run(
-        capsys, "betti", "--genus", "2", "--rank", "2", "--deg", "1",
-        "--skip-checks", "--unsafe",
-    )
-    assert code == 0
-    assert out.endswith("checks: skipped)\n")
-
-    code, out, _ = _run(
-        capsys, "betti", "--genus", "2", "--rank", "2", "--deg", "1",
-        "--skip-checks", "--unsafe", "--format", "json",
-    )
-    assert json.loads(out)["checks"] is None
 
 
 def test_exit_3_on_poisoned_cache(capsys, tmp_path):
@@ -474,7 +648,6 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 # render module itself.
 _HOMES = {
     "__version__": "_version",
-    "BettiChecks": "hnrec",
     "BettiReport": "hnrec",
     "ExactPolynomial": "exactalg",
     "HNType": "strata",

@@ -16,7 +16,6 @@ from hnbetti.genfun import (
     sym_product_poly,
 )
 from hnbetti.hnrec import (
-    BettiChecks,
     BettiReport,
     MemoStore,
     betti_poly,
@@ -27,17 +26,14 @@ from hnbetti.hnrec import (
 from hnbetti.render import OutputDocument, parse_json, render_json
 from hnbetti.strata import HNType
 
-CHECKS = {"tail_vanishes": True, "degree_matches_2dim": True, "palindromic": True,
-          "nonnegative": False}
 REPORT = {"polynomial": ExactPolynomial((1, 2, 1)), "moduli_dimension": 1,
-          "truncation_used": 12, "checks": BettiChecks(**CHECKS)}
+          "truncation_used": 12}
 
 # class -> the value of every field, in field order
 RECORDS = {
     ExactPolynomial: {"coefficients": (1, 0, 2)},
     TruncatedSeries: {"coefficients": (1, 4, 8), "truncation_order": 2},
     HNType: {"pieces": ((1, 1), (1, 0))},
-    BettiChecks: CHECKS,
     BettiReport: REPORT,
     OutputDocument: {"kind": "betti-report", "payload": BettiReport(**REPORT), "genus": 1,
                      "rank": 2, "degree": 1, "version": __version__},
@@ -78,7 +74,7 @@ def test_record_defaults():
 
 def test_unequal_records():
     assert HNType(((1, 1), (1, 0))) != HNType(((1, 2), (1, -1)))
-    assert BettiChecks(True, True, True, True) != BettiChecks(True, True, True, False)
+    assert BettiReport(**REPORT) != BettiReport(**{**REPORT, "truncation_used": 13})
 
 
 def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
@@ -98,14 +94,21 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
     [
         ("moduli_dimension", 0, "dimension must be an integer >= 1"),
         ("truncation_used", 1, "truncation must be an integer >= 2"),
-        ("polynomial", ExactPolynomial((1, 2, 1, 1)), "degree 3 exceeds 2[*]dim = 2"),
+        ("polynomial", ExactPolynomial((1, 2, 1, 1)), "checks degree_matches_2dim, palindromic$"),
         ("polynomial", TruncatedSeries((1, 2, 1), 2), "must be an ExactPolynomial"),
-        ("checks", CHECKS, "must be a BettiChecks or None"),
+        ("polynomial", ExactPolynomial((1,)), "checks degree_matches_2dim$"),
+        ("polynomial", ExactPolynomial((1, 2, 3)), "checks palindromic$"),
+        ("polynomial", ExactPolynomial((1, -2, 1)), "checks nonnegative$"),
+        ("polynomial", ExactPolynomial.zero(), "checks degree_matches_2dim, palindromic$"),
     ],
-    ids=["dimension-0", "truncation-below-2dim", "degree-above-2dim", "series", "checks-dict"],
+    ids=["dimension-0", "truncation-below-2dim", "degree-above-2dim", "series",
+         "degree-below-2dim", "not-palindromic", "negative-coefficient", "zero-polynomial"],
 )
 def test_betti_report_fields_must_agree(field, value, match):
-    # A report whose fields contradict each other would render as if it held.
+    # A report whose fields contradict each other would render as if it held,
+    # and a report says "checks: all pass": it refuses a polynomial that fails
+    # the checks its fields can show.  tail_vanishes is the one check a report
+    # cannot re-run, as it needs the series past t^(2*dim).
     with pytest.raises(ValueError, match=match):
         BettiReport(**{**REPORT, field: value})
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
-from hnbetti.hnrec import BettiChecks, BettiReport, betti_poly
+from hnbetti.hnrec import BettiReport, betti_poly
 from hnbetti.render import (
     OutputDocument,
     parse_json,
@@ -22,7 +22,6 @@ BETTI_2_2_1 = BettiReport(
     polynomial=ExactPolynomial((1, 4, 7, 12, 24, 32, 24, 12, 7, 4, 1)),
     moduli_dimension=5,
     truncation_used=20,
-    checks=BettiChecks(True, True, True, True),
 )
 
 
@@ -42,13 +41,6 @@ def _docs():
         ),
         OutputDocument("type-list", (), genus=2, rank=1, degree=0),
         OutputDocument("betti-report", BETTI_2_2_1, genus=2, rank=2, degree=1),
-        OutputDocument(
-            "betti-report",
-            BettiReport(ExactPolynomial((1, 2, 1)), 1, 12, None),
-            genus=1,
-            rank=2,
-            degree=1,
-        ),
         OutputDocument("series", TruncatedSeries((0, 0, 0, 0), 3), genus=1, rank=2),
     ]
 
@@ -63,7 +55,6 @@ PINNED = {
         "(0 types; genus 2, rank 1, deg 0)",
         "1 + 4t + 7t^2 + 12t^3 + 24t^4 + 32t^5 + 24t^6 + 12t^7 + 7t^8 + 4t^9 + t^10"
         "  (dim 5, checks: all pass)",
-        "1 + 2t + t^2  (dim 1, checks: skipped)",
         "O(t^4)  (genus 1, rank 2)",
     ],
     "latex": [
@@ -74,7 +65,6 @@ PINNED = {
         "\\varnothing",
         "1 + 4t + 7t^{2} + 12t^{3} + 24t^{4} + 32t^{5} + 24t^{6} + 12t^{7} + 7t^{8}"
         " + 4t^{9} + t^{10}",
-        "1 + 2t + t^{2}",
         "O(t^{4})",
     ],
     "csv": [
@@ -84,7 +74,6 @@ PINNED = {
         "2,(1;1)(1;0)\n4,(1;2)(1;-1)",
         "",
         "0,1\n1,4\n2,7\n3,12\n4,24\n5,32\n6,24\n7,12\n8,7\n9,4\n10,1",
-        "0,1\n1,2\n2,1",
         "0,0\n1,0\n2,0\n3,0",
     ],
     "json": [
@@ -109,9 +98,6 @@ PINNED = {
         '"truncation": 20, "dimension": 5, "checks": {"tail_vanishes": true, '
         '"degree_matches_2dim": true, "palindromic": true, "nonnegative": true}, '
         '"version": "0.1.0"}',
-        '{"kind": "betti-report", "genus": 1, "rank": 2, "degree": 1, "variable": "t", '
-        '"coefficients": ["1", "2", "1"], "truncation": 12, "dimension": 1, '
-        '"checks": null, "version": "0.1.0"}',
         '{"kind": "series", "genus": 1, "rank": 2, "degree": null, "variable": "t", '
         '"coefficients": ["0", "0", "0", "0"], "truncation": 3, "dimension": null, '
         '"checks": null, "version": "0.1.0"}',
@@ -165,7 +151,12 @@ def test_json_schema_keys_and_string_coefficients():
     assert data["coefficients"][4] == "24"
     assert all(isinstance(c, str) for c in data["coefficients"])
     assert data["dimension"] == 5
-    assert data["checks"]["palindromic"] is True
+    assert list(data["checks"].items()) == [
+        ("tail_vanishes", True),
+        ("degree_matches_2dim", True),
+        ("palindromic", True),
+        ("nonnegative", True),
+    ]
 
     poly_doc = OutputDocument("polynomial", ExactPolynomial((1, 4, 1)), genus=2)
     data = json.loads(render_json(poly_doc))
@@ -195,7 +186,7 @@ def test_json_huge_coefficients_survive():
 def test_text_rendering():
     doc = OutputDocument(
         "betti-report",
-        BettiReport(ExactPolynomial((1, 4, 6, 4, 1)), 2, 14, BettiChecks(True, True, True, True)),
+        BettiReport(ExactPolynomial((1, 4, 6, 4, 1)), 2, 14),
         genus=2,
         rank=1,
         degree=0,
@@ -209,32 +200,6 @@ def test_text_rendering():
         "series", TruncatedSeries((1, 4, 8, 16), 3), genus=2, rank=2
     )
     assert render_text(series_doc) == "1 + 4t + 8t^2 + 16t^3 + O(t^4)  (genus 2, rank 2)"
-
-    skipped = OutputDocument(
-        "betti-report",
-        BettiReport(ExactPolynomial((1, 2, 1)), 1, 12, None),
-        genus=1,
-        rank=2,
-        degree=1,
-    )
-    assert render_text(skipped).endswith("(dim 1, checks: skipped)")
-
-
-def test_failed_checks_are_named_in_field_order():
-    checks = BettiChecks(True, False, True, False)
-    assert checks.failed() == ["degree_matches_2dim", "nonnegative"]
-    doc = OutputDocument(
-        "betti-report", BettiReport(ExactPolynomial((1, 2, 1)), 1, 12, checks)
-    )
-    assert render_text(doc).endswith(
-        "(dim 1, checks: FAILED degree_matches_2dim, nonnegative)"
-    )
-    assert list(json.loads(render_json(doc))["checks"].items()) == [
-        ("tail_vanishes", True),
-        ("degree_matches_2dim", False),
-        ("palindromic", True),
-        ("nonnegative", False),
-    ]
 
 
 def test_text_negative_and_zero_terms():
@@ -305,7 +270,10 @@ def test_parse_json_rejects_garbage():
     docs = {d.kind: json.loads(render_json(d)) for d in reversed(_docs()) if d.payload}
     for kind, path in [("series", ("version",)), ("series", ("truncation",)),
                        ("type-list", ("types", 0, "codim")),
-                       ("betti-report", ("checks", "palindromic"))]:
+                       ("betti-report", ("checks", "palindromic")),
+                       ("betti-report", ("checks", "tail_vanishes")),
+                       ("betti-report", ("checks", "degree_matches_2dim")),
+                       ("betti-report", ("checks", "nonnegative"))]:
         data = json.loads(json.dumps(docs[kind]))
         target = data
         for key in path[:-1]:
@@ -347,6 +315,15 @@ def test_parse_json_rejects_garbage():
         ("type-list", ("types", 0), 5),
         ("type-list", ("types", 0), [[1, 1], [1, 0]]),
         ("type-list", ("types", 0, "pieces"), 5),
+        # A report has passed every check; "checks" holds each name, true.
+        ("betti-report", ("checks",), None),
+        ("betti-report", ("checks", "tail_vanishes"), False),
+        ("betti-report", ("checks", "degree_matches_2dim"), False),
+        ("betti-report", ("checks", "palindromic"), False),
+        ("betti-report", ("checks", "nonnegative"), False),
+        ("betti-report", ("checks",), ["tail_vanishes", "degree_matches_2dim", "palindromic",
+                                       "nonnegative"]),
+        ("betti-report", ("checks",), "all pass"),
     ],
 )
 def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
