@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Six subcommands over the library.  build_parser declares each with one call
-of a helper that adds its integer flags, required ones first, then adds the
-shared --format/--cache-dir/--strict-cache to all six:
+of a helper that adds its required integer flags, then adds --format to all
+six, and --cache-dir/--strict-cache to the two that keep a series memo
+(_MEMO_COMMANDS: ssseries and betti):
 
 * sympoly    Poincare polynomial of a symmetric product of the curve
 * divpoly    Poincare polynomial of a bounded matrix-divisor variety
@@ -11,15 +12,17 @@ shared --format/--cache-dir/--strict-cache to all six:
 * ssseries   Poincare series of the semistable locus
 * betti      checked Betti polynomial of the stable-bundle moduli space
 
-Every betti answer has passed the structural checks of hnrec.betti_poly;
-there is no flag to skip them.
+Every betti answer has passed the structural checks of hnrec.betti_poly,
+on its series to order 2*dim + hnrec.TRUNCATION_SLACK; no flag skips a check
+or sets how far past t^(2*dim) the tail is checked.
 
-Exit codes: 0 success; 2 invalid arguments (including non-coprime rank and
-degree, genus 0 where the recursion needs genus >= 1, negative truncation);
-3 internal structural check failure: nothing on stdout, and on stderr a
-diagnostic dump naming the failed checks and printing every coefficient of
-the collapsed series; 4 cache I/O warnings escalated by --strict-cache (the
-result is still printed).
+Exit codes: 0 success; 1 stdout closed before the whole answer was written
+(say, by `| head`), with nothing on stderr; 2 invalid arguments (including
+non-coprime rank and degree, genus 0 where the recursion needs genus >= 1,
+negative truncation); 3 internal structural check failure: nothing on
+stdout, and on stderr a diagnostic dump naming the failed checks and
+printing every coefficient of the collapsed series; 4 cache I/O warnings
+escalated by --strict-cache (the result is still printed).
 Output for a given command line is byte-deterministic, warm or cold cache.
 
 _execute builds one OutputDocument per command; every command but sympoly
@@ -39,7 +42,8 @@ cache a coefficient longer than that, and str() would refuse it.  The limit
 guards against parsing huge numbers from untrusted text; the only numbers this
 process parses are its own arguments and its own cache files.  run itself
 leaves the collector and the limit as it found them, so a library caller that
-renders larger integers lifts the limit itself.
+renders larger integers lifts the limit itself.  When the reader of stdout
+goes away first, main exits 1 quietly, with no traceback from print.
 """
 
 from __future__ import annotations
@@ -57,12 +61,16 @@ if TYPE_CHECKING:
     from .render import OutputDocument
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_CHECK_FAILURE = 3
 EXIT_CACHE = 4
 
 
-# Help strings of the required integer flags that have one.
+# The subcommands that keep a series memo, and so take the cache flags.
+_MEMO_COMMANDS = ("ssseries", "betti")
+
+# Help strings of the integer flags that have one.
 _INT_HELP = {
     "points": "symmetric power m",
     "twist": "degree of the bounding divisor D",
@@ -80,15 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(
-        name: str, text: str, *required: str, **optional: str
-    ) -> argparse.ArgumentParser:
-        """A subcommand taking the required integer flags, then the optional ones."""
+    def command(name: str, text: str, *flags: str) -> argparse.ArgumentParser:
+        """A subcommand taking the given integer flags, each required."""
         p = sub.add_parser(name, help=text)
-        for flag in required:
+        for flag in flags:
             p.add_argument(f"--{flag}", type=int, required=True, help=_INT_HELP.get(flag))
-        for flag, flag_help in optional.items():
-            p.add_argument(f"--{flag}", type=int, help=flag_help)
         return p
 
     command(
@@ -103,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         "divseries",
         "Poincare series of the matrix-divisor ind-variety",
         "genus", "rank", "truncate",
-        deg="accepted and ignored: the series does not depend on the degree",
     )
     command(
         "polygons",
@@ -119,16 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
         "betti",
         "checked Betti polynomial of the stable-bundle moduli space",
         "genus", "rank", "deg",
-        truncate="truncation order (default: 2*dim + 10; must be >= 2*dim)",
     )
 
-    for p in sub.choices.values():
+    for name, p in sub.choices.items():
         p.add_argument(
             "--format",
             choices=("text", "json", "latex", "csv"),
             default="text",
             help="output format (default: text)",
         )
+        if name not in _MEMO_COMMANDS:
+            continue
         p.add_argument(
             "--cache-dir",
             default=None,
@@ -176,7 +180,7 @@ def _execute(args: argparse.Namespace, memo: Optional[MemoStore]) -> OutputDocum
         from .hnrec import betti_poly
 
         kind = "betti-report"
-        payload = betti_poly(args.genus, args.rank, args.deg, args.truncate, memo)
+        payload = betti_poly(args.genus, args.rank, args.deg, memo=memo)
     return OutputDocument(kind, payload, genus=args.genus, rank=args.rank, degree=args.deg)
 
 
@@ -187,10 +191,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # Only ssseries and betti keep a memo and run structural checks.  For the
-    # rest, check_failure is an empty tuple of exception types: it catches nothing.
+    # Only the memo commands run structural checks.  For the rest,
+    # check_failure is an empty tuple of exception types: it catches nothing.
     memo, check_failure = None, ()
-    if args.command in ("ssseries", "betti"):
+    if args.command in _MEMO_COMMANDS:
         from .hnrec import MemoStore, StructuralCheckError
 
         memo = MemoStore(args.cache_dir or os.environ.get("HNBETTI_CACHE_DIR") or None)
@@ -208,20 +212,26 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     from .render import render
 
     print(render(doc, args.format))
-    warnings = memo.warnings if memo is not None else []
-    for warning in warnings:
+    if memo is None:
+        return EXIT_OK
+    for warning in memo.warnings:
         print(f"cache warning: {warning}", file=sys.stderr)
-    if warnings and args.strict_cache:
-        return EXIT_CACHE
-    return EXIT_OK
+    return EXIT_CACHE if memo.warnings and args.strict_cache else EXIT_OK
 
 
 def main() -> None:
-    # The collector and the digit limit: see the module docstring.
+    # The collector, the digit limit and a closed stdout: see the module docstring.
     gc.disable()
     if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
         sys.set_int_max_str_digits(0)
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught
+    except BrokenPipeError:
+        # The flush at exit would raise again: send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_STDOUT_CLOSED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

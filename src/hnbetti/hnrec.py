@@ -105,9 +105,9 @@ stable bundles has Poincare polynomial
     P(N(r, n); t) = (1 - t^2) * P(Div^ss; t),
 
 a polynomial of degree 2 dim with dim = 1 + r^2 (g - 1).  betti_poly performs
-that multiplication, checks that the series really does collapse (vanishing
-tail, exact degree, palindromic, nonnegative), and refuses to emit anything
-when a check fails.
+that multiplication on the series to order 2 dim + TRUNCATION_SLACK, checks
+that the series really does collapse (vanishing tail, exact degree,
+palindromic, nonnegative), and refuses to emit anything when a check fails.
 
 rank2_oracle is a deliberately separate route for rank 2 and odd degree: there
 the strata are indexed by a single integer and the shifted sum is a geometric
@@ -135,6 +135,8 @@ from .genfun import div_stable_ranks
 if TYPE_CHECKING:
     from .strata import HNType
 
+# Every Betti polynomial is computed to order 2*dim + TRUNCATION_SLACK, so
+# tail_vanishes always checks this many coefficients past t^(2*dim).
 TRUNCATION_SLACK = 10
 
 
@@ -169,27 +171,26 @@ def _failed_checks(poly: ExactPolynomial, dim: int, tail: tuple[int, ...] = ()) 
 class BettiReport(_Record):
     """A Betti polynomial that passed the structural checks, with its context.
 
-    The fields are checked against each other: dimension >= 1, truncation >=
-    2*dim, and the polynomial passes every check its fields can show (degree
-    exactly 2*dim, palindromic, nonnegative), or ValueError names the checks
-    it fails.  tail_vanishes is the one check a report cannot re-run: it
-    needs the series past t^(2*dim), which betti_poly checks before it builds
-    the report.  A report parsed from JSON is held to the same rule.
+    The fields are checked against each other: dimension >= 1, and the
+    polynomial passes every check its fields can show (degree exactly 2*dim,
+    palindromic, nonnegative), or ValueError names the checks it fails.
+    tail_vanishes is the one check a report cannot re-run: it needs the
+    series past t^(2*dim), which betti_poly checks before it builds the
+    report.  A report parsed from JSON is held to the same rule.  The order
+    its series was computed to, 2*dim + TRUNCATION_SLACK, follows from the
+    dimension.
     """
 
-    __slots__ = ("polynomial", "moduli_dimension", "truncation_used")
+    __slots__ = ("polynomial", "moduli_dimension")
 
-    def __init__(
-        self, polynomial: ExactPolynomial, moduli_dimension: int, truncation_used: int
-    ) -> None:
+    def __init__(self, polynomial: ExactPolynomial, moduli_dimension: int) -> None:
         if not isinstance(polynomial, ExactPolynomial):
             raise ValueError(f"Betti polynomial must be an ExactPolynomial, got {polynomial!r}")
         dim = _check_int("dimension", moduli_dimension, 1)
-        _check_int("truncation", truncation_used, 2 * dim)
         failed = _failed_checks(polynomial, dim)
         if failed:
             raise ValueError(f"Betti polynomial fails the checks {', '.join(failed)}")
-        self._fill(polynomial, moduli_dimension, truncation_used)
+        self._fill(polynomial, moduli_dimension)
 
 
 class MemoStore:
@@ -415,36 +416,27 @@ def stratum_series(
 
 
 def betti_poly(
-    genus: int,
-    rank: int,
-    degree: int,
-    order: Optional[int] = None,
-    memo: Optional[MemoStore] = None,
+    genus: int, rank: int, degree: int, *, memo: Optional[MemoStore] = None
 ) -> BettiReport:
     """Betti polynomial of the moduli space of stable bundles, fully checked.
 
     Requires gcd(rank, degree) = 1, so that stability and semistability agree.
-    The truncation order defaults to 2*dim + TRUNCATION_SLACK and may not be
-    smaller than 2*dim, the degree of the answer.  Every check of CHECK_NAMES
-    must pass, or StructuralCheckError is raised with a diagnostic dump: the
-    failed checks, in that order, and every coefficient of the collapsed
-    series.
+    The semistable series is always computed to order 2*dim + TRUNCATION_SLACK,
+    so every answer has its tail checked over the same TRUNCATION_SLACK
+    coefficients past t^(2*dim); no argument sets the order.  Every check of
+    CHECK_NAMES must pass, or StructuralCheckError is raised with a diagnostic
+    dump: the failed checks, in that order, and every coefficient of the
+    collapsed series.
     """
     dim = dim_moduli(genus, rank)  # checks genus, then rank
     _check_int("degree", degree)
-    if order is None:
-        order = 2 * dim + TRUNCATION_SLACK
-    _check_int("truncation order", order, 0)
     if math.gcd(rank, degree) != 1:
         raise ValueError(
             "rank and degree must be coprime "
             f"(gcd({rank}, {degree}) = {math.gcd(rank, degree)}); "
             "otherwise stable and semistable bundles differ"
         )
-    if order < 2 * dim:
-        raise ValueError(
-            f"truncation order {order} cannot hold the degree-{2 * dim} Betti polynomial"
-        )
+    order = 2 * dim + TRUNCATION_SLACK
     semistable = ss_series(genus, rank, degree, order, memo)
     collapsed = semistable * ExactPolynomial.from_terms({0: 1, 2: -1})
     poly = collapsed.polynomial_prefix(2 * dim)
@@ -468,7 +460,7 @@ def betti_poly(
             "Betti polynomial failed structural checks: " + ", ".join(failed),
             diagnostic,
         )
-    return BettiReport(poly, dim, order)
+    return BettiReport(poly, dim)
 
 
 def rank2_oracle(genus: int, degree: int, order: int) -> TruncatedSeries:

@@ -11,7 +11,9 @@ to the kind; type lists additionally carry a "types" key.
 
 A Betti report has passed every structural check (hnrec.CHECK_NAMES), so its
 text says "checks: all pass" and its JSON "checks" object holds each check's
-name, true.  parse_json reads no other "checks" value.
+name, true.  Its series was computed to order 2*dim + hnrec.TRUNCATION_SLACK,
+which its JSON "truncation" states.  parse_json reads no other "checks" or
+"truncation" value.
 
 Each renderer reads a polynomial, series or Betti-report document through one
 view, its coefficients and its series order or None.  A type list's payload is
@@ -191,11 +193,12 @@ def render_json(doc: OutputDocument) -> str:
     obj["coefficients"] = [str(c) for c in coeffs] or ["0"]
     obj["truncation"] = order
     if doc.kind == "betti-report":
-        from .hnrec import CHECK_NAMES  # loaded already: it made the payload
+        # hnrec is loaded already: it made the payload.
+        from .hnrec import CHECK_NAMES, TRUNCATION_SLACK
 
-        report = doc.payload
-        obj["truncation"] = report.truncation_used
-        obj["dimension"] = report.moduli_dimension
+        dim = doc.payload.moduli_dimension
+        obj["truncation"] = 2 * dim + TRUNCATION_SLACK
+        obj["dimension"] = dim
         obj["checks"] = dict.fromkeys(CHECK_NAMES, True)
     return json.dumps(obj, check_circular=False)
 
@@ -236,7 +239,7 @@ def parse_json(text: str) -> OutputDocument:
             coeffs = _coefficients(data["coefficients"])
             payload = TruncatedSeries(coeffs, _check_int("truncation", data["truncation"]))
         elif kind == "betti-report":
-            from .hnrec import CHECK_NAMES, BettiReport
+            from .hnrec import CHECK_NAMES, TRUNCATION_SLACK, BettiReport
 
             # Exactly what render_json writes.  1 == True, so each value is
             # checked to be True itself.
@@ -250,8 +253,11 @@ def parse_json(text: str) -> OutputDocument:
             payload = BettiReport(
                 polynomial=ExactPolynomial(_coefficients(data["coefficients"])),
                 moduli_dimension=data["dimension"],
-                truncation_used=data["truncation"],
             )
+            order = 2 * payload.moduli_dimension + TRUNCATION_SLACK
+            if _check_int("truncation", data["truncation"]) != order:
+                raise ValueError(f"truncation must be 2*dim + {TRUNCATION_SLACK} = {order}, "
+                                 f"got {data['truncation']}")
         elif kind == "type-list":
             from .strata import HNType, stratum_codim
 

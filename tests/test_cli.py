@@ -59,18 +59,6 @@ def test_sympoly_and_divpoly(capsys):
     assert out == "1 + 4t + 7t^{2} + 4t^{3} + t^{4}\n"
 
 
-def test_divseries_ignores_deg(capsys):
-    code, with_deg, _ = _run(
-        capsys, "divseries", "--genus", "2", "--rank", "2", "--truncate", "3",
-        "--deg", "17",
-    )
-    assert code == 0
-    code, without_deg, _ = _run(
-        capsys, "divseries", "--genus", "2", "--rank", "2", "--truncate", "3"
-    )
-    assert with_deg == without_deg == "1 + 4t + 8t^2 + 16t^3 + O(t^4)  (genus 2, rank 2)\n"
-
-
 def test_polygons_csv(capsys):
     code, out, _ = _run(
         capsys, "polygons", "--genus", "2", "--rank", "2", "--deg", "1",
@@ -257,11 +245,6 @@ PINNED_RUNS = {
         "",
         "error: genus must be an integer >= 1, got 0\n",
     ),
-    "usage-truncate-below-2dim": (
-        "betti --genus 2 --rank 2 --deg 1 --truncate 9", 2,
-        "",
-        "error: truncation order 9 cannot hold the degree-10 Betti polynomial\n",
-    ),
     "usage-unknown-flag": (
         "sympoly --genus 2 --points 2 --colour", 2,
         "",
@@ -283,6 +266,32 @@ PINNED_RUNS = {
         "usage: hnbetti [-h] [--version]\n               "
         "{sympoly,divpoly,divseries,polygons,ssseries,betti} ...\nhnbetti: error: "
         "unrecognized arguments: --skip-checks --unsafe\n",
+    ),
+    # Every betti answer is computed to 2*dim + TRUNCATION_SLACK: no flag
+    # sets how far past t^(2*dim) the tail is checked.
+    "usage-betti-truncate": (
+        "betti --genus 2 --rank 2 --deg 1 --truncate 10", 2,
+        "",
+        "usage: hnbetti [-h] [--version]\n               "
+        "{sympoly,divpoly,divseries,polygons,ssseries,betti} ...\nhnbetti: error: "
+        "unrecognized arguments: --truncate 10\n",
+    ),
+    # Only ssseries and betti keep a memo, so only they take the cache flags.
+    "usage-polygons-cache-flags": (
+        "polygons --genus 2 --rank 8 --deg 1 --max-codim 120 --cache-dir /nonexistent/x "
+        "--strict-cache", 2,
+        "",
+        "usage: hnbetti [-h] [--version]\n               "
+        "{sympoly,divpoly,divseries,polygons,ssseries,betti} ...\nhnbetti: error: "
+        "unrecognized arguments: --cache-dir /nonexistent/x --strict-cache\n",
+    ),
+    # The ind-variety series does not depend on the degree.
+    "usage-divseries-deg": (
+        "divseries --genus 2 --rank 2 --truncate 3 --deg 99", 2,
+        "",
+        "usage: hnbetti [-h] [--version]\n               "
+        "{sympoly,divpoly,divseries,polygons,ssseries,betti} ...\nhnbetti: error: "
+        "unrecognized arguments: --deg 99\n",
     ),
 }
 
@@ -441,17 +450,6 @@ def test_subcommand_help_exits_zero(capsys, command):
     assert err == ""
 
 
-def test_betti_truncate_help_states_the_default_slack():
-    # The parser does not import hnrec, so it spells the slack out; the
-    # action's own string is checked, as argparse wraps the rendered help.
-    from hnbetti.cli import build_parser
-    from hnbetti.hnrec import TRUNCATION_SLACK
-
-    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
-    (truncate,) = [a for a in commands.choices["betti"]._actions if "--truncate" in a.option_strings]
-    assert f"2*dim + {TRUNCATION_SLACK}" in truncate.help
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -534,7 +532,7 @@ def test_sympoly_prints_integers_past_the_digit_limit():
 def test_betti_prints_and_caches_integers_past_the_digit_limit(tmp_path):
     # This exited 2 with "error: Exceeds the limit (640 digits)", raised while
     # writing the cache file, and left an empty temp file behind.
-    from hnbetti.hnrec import betti_poly, ss_series
+    from hnbetti.hnrec import TRUNCATION_SLACK, betti_poly, ss_series
 
     proc = _cli_under_digit_limit("betti", "--genus", "1100", "--rank", "1", "--deg", "0",
                                   "--cache-dir", str(tmp_path), "--format", "json")
@@ -545,7 +543,8 @@ def test_betti_prints_and_caches_integers_past_the_digit_limit(tmp_path):
         str(c) for c in report.polynomial.coefficients]
     assert [p.name for p in tmp_path.iterdir()] == ["ss_g1100_r1_n0.json"]
     cached = parse_json((tmp_path / "ss_g1100_r1_n0.json").read_text(encoding="utf-8"))
-    assert cached.payload == ss_series(1100, 1, 0, report.truncation_used)
+    order = 2 * report.moduli_dimension + TRUNCATION_SLACK
+    assert cached.payload == ss_series(1100, 1, 0, order)
 
 
 @pytest.mark.parametrize(
@@ -576,6 +575,50 @@ def test_larger_request_leaves_no_more_cyclic_garbage(capsys, monkeypatch, small
         if was_enabled:
             gc.enable()
     assert found[2] == found[1]
+
+
+def _closed_stdout_run(argv, stdout):
+    """Start `python -m hnbetti ARGV` writing to stdout, with stdout buffered.
+
+    Buffered, as it is by default for a pipe: the environment may set
+    PYTHONUNBUFFERED, which would leave nothing in the buffer to flush at exit.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(hnbetti.__file__).resolve().parent.parent))
+    env.pop("HNBETTI_CACHE_DIR", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "hnbetti", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr(capsys):
+    # A reader such as `head -1` closes the pipe after one line.  The answer
+    # is several times the 64 KiB a pipe buffers, so print meets the closed
+    # pipe; this ended in a BrokenPipeError traceback.
+    argv = ["polygons", "--genus", "2", "--rank", "8", "--deg", "1", "--max-codim", "120"]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0 and len(out.encode("utf-8")) > 4 * 2 ** 16
+    proc = _closed_stdout_run(argv, subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+    assert first.decode("utf-8") == out.splitlines(keepends=True)[0]
+
+
+def test_stdout_closed_before_a_small_answer_exits_1_with_nothing_on_stderr():
+    # A small answer stays in stdout's buffer until the flush, which then
+    # meets the closed pipe.  What is left in the buffer must not be flushed
+    # again at exit, where the error would be reported on stderr.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _closed_stdout_run(["sympoly", "--genus", "2", "--points", "2"], write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def _fresh_python(code, *args):

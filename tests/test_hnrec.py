@@ -24,17 +24,23 @@ ONE_MINUS_T2 = ExactPolynomial.from_terms({0: 1, 2: -1})
 
 
 def test_query_validation():
-    # Genus, then rank, then degree, then order, each named in its error;
-    # betti_poly checks all four before coprimality (rank 2, degree 2 below).
-    for call in (ss_series, betti_poly):
+    # Genus, then rank, then degree, then (ss_series only) order, each named
+    # in its error; betti_poly checks all three before coprimality.
+    for call, order in ((ss_series, (-1,)), (betti_poly, ())):
         with pytest.raises(ValueError, match="genus must be an integer >= 1"):
-            call(0, 0, 1.5, -1)
+            call(0, 0, 1.5, *order)
         with pytest.raises(ValueError, match="rank must be an integer >= 1"):
-            call(2, 0, 1.5, -1)
+            call(2, 0, 1.5, *order)
         with pytest.raises(ValueError, match="degree must be an integer"):
-            call(2, 2, 1.5, -1)
-        with pytest.raises(ValueError, match="truncation order must be an integer >= 0"):
-            call(2, 2, 2, -1)
+            call(2, 2, 1.5, *order)
+    with pytest.raises(ValueError, match="truncation order must be an integer >= 0"):
+        ss_series(2, 2, 2, -1)
+    # betti_poly takes no order: one passed where it stood is refused, not
+    # taken for the memo.
+    with pytest.raises(TypeError):
+        betti_poly(2, 2, 1, 20)
+    with pytest.raises(TypeError):
+        betti_poly(2, 2, 1, order=20)
 
 
 def test_dim_moduli():
@@ -175,10 +181,14 @@ def test_betti_examples():
     report = betti_poly(3, 1, 0)
     assert report.polynomial.coefficients == tuple(math.comb(6, k) for k in range(7))
 
-    report = betti_poly(2, 2, 1)
+    memo = MemoStore()
+    report = betti_poly(2, 2, 1, memo=memo)
     assert report.polynomial.coefficients == (1, 4, 7, 12, 24, 32, 24, 12, 7, 4, 1)
     assert report.moduli_dimension == 5
-    assert report.truncation_used == 20
+    # The series was computed to 2*dim + TRUNCATION_SLACK, and no further.
+    order = 2 * report.moduli_dimension + hnrec.TRUNCATION_SLACK
+    assert memo.lookup(2, 2, 1, order) is not None
+    assert memo.lookup(2, 2, 1, order + 1) is None
 
 
 def test_betti_rejects_common_factor():
@@ -186,15 +196,6 @@ def test_betti_rejects_common_factor():
         betti_poly(2, 2, 2)
     with pytest.raises(ValueError, match="coprime"):
         betti_poly(2, 3, 0)
-
-
-def test_betti_truncation_bounds():
-    # 2*dim is the minimum that can hold the polynomial; below that is a
-    # caller error, not a structural failure.
-    report = betti_poly(2, 2, 1, order=10)
-    assert report.polynomial.degree == 10
-    with pytest.raises(ValueError, match="truncation"):
-        betti_poly(2, 2, 1, order=9)
 
 
 def _hard_lefschetz(betti, dim):

@@ -26,8 +26,7 @@ from hnbetti.hnrec import (
 from hnbetti.render import OutputDocument, parse_json, render_json
 from hnbetti.strata import HNType
 
-REPORT = {"polynomial": ExactPolynomial((1, 2, 1)), "moduli_dimension": 1,
-          "truncation_used": 12}
+REPORT = {"polynomial": ExactPolynomial((1, 2, 1)), "moduli_dimension": 1}
 
 # class -> the value of every field, in field order
 RECORDS = {
@@ -74,7 +73,7 @@ def test_record_defaults():
 
 def test_unequal_records():
     assert HNType(((1, 1), (1, 0))) != HNType(((1, 2), (1, -1)))
-    assert BettiReport(**REPORT) != BettiReport(**{**REPORT, "truncation_used": 13})
+    assert BettiReport(**REPORT) != BettiReport(ExactPolynomial((1, 4, 6, 4, 1)), 2)
 
 
 def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
@@ -93,7 +92,6 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
     "field, value, match",
     [
         ("moduli_dimension", 0, "dimension must be an integer >= 1"),
-        ("truncation_used", 1, "truncation must be an integer >= 2"),
         ("polynomial", ExactPolynomial((1, 2, 1, 1)), "checks degree_matches_2dim, palindromic$"),
         ("polynomial", TruncatedSeries((1, 2, 1), 2), "must be an ExactPolynomial"),
         ("polynomial", ExactPolynomial((1,)), "checks degree_matches_2dim$"),
@@ -101,7 +99,7 @@ def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
         ("polynomial", ExactPolynomial((1, -2, 1)), "checks nonnegative$"),
         ("polynomial", ExactPolynomial.zero(), "checks degree_matches_2dim, palindromic$"),
     ],
-    ids=["dimension-0", "truncation-below-2dim", "degree-above-2dim", "series",
+    ids=["dimension-0", "degree-above-2dim", "series",
          "degree-below-2dim", "not-palindromic", "negative-coefficient", "zero-polynomial"],
 )
 def test_betti_report_fields_must_agree(field, value, match):
@@ -125,10 +123,9 @@ def test_betti_report_fields_must_agree(field, value, match):
         (ss_series, (2, 2, 1.5, 4)),
         (ss_series, (2, 2, 1, 4.0)),
         (ss_series, (2, 2, True, 4)),
-        (betti_poly, (2, 2.0, 1, 12)),
-        (betti_poly, (2, 2, 1.5, 12)),
-        (betti_poly, (2, 2, 1, 12.0)),
-        (betti_poly, (2, 2, True, 12)),
+        (betti_poly, (2, 2.0, 1)),
+        (betti_poly, (2, 2, 1.5)),
+        (betti_poly, (2, 2, True)),
         (dim_moduli, (2, 2.5)),
         (dim_moduli, (2, True)),
         (sym_product_poly, (2, True)),
@@ -147,8 +144,8 @@ def test_betti_report_fields_must_agree(field, value, match):
     ],
     ids=["HNType", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries",
          "TruncatedSeries-order", "ss_series-rank", "ss_series-degree", "ss_series-order",
-         "ss_series-bool", "betti_poly-rank", "betti_poly-degree", "betti_poly-order",
-         "betti_poly-bool", "dim_moduli-rank", "dim_moduli-bool",
+         "ss_series-bool", "betti_poly-rank", "betti_poly-degree", "betti_poly-bool",
+         "dim_moduli-rank", "dim_moduli-bool",
          "sym_product_poly-bool", "div_stable_series-bool", "rank2_oracle-degree",
          "div_stable_ranks-order", "residue_series-order", "rank2_oracle-order",
          "div_finite_poly-twist", "monomial", "from_terms", "pow-bool", "truncate",
