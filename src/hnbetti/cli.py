@@ -2,8 +2,8 @@
 
 Six subcommands over the library.  build_parser declares each with one call
 of a helper that adds its required integer flags, then adds --format to all
-six, and --cache-dir/--strict-cache to the two that keep a series memo
-(_MEMO_COMMANDS: ssseries and betti):
+six, and --cache-dir/--strict-cache to the two that can cache a semistable
+series (_MEMO_COMMANDS: ssseries and betti):
 
 * sympoly    Poincare polynomial of a symmetric product of the curve
 * divpoly    Poincare polynomial of a bounded matrix-divisor variety
@@ -24,6 +24,10 @@ stdout, and on stderr a diagnostic dump naming the failed checks and
 printing every coefficient of the collapsed series; 4 cache I/O warnings
 escalated by --strict-cache (the result is still printed).
 Output for a given command line is byte-deterministic, warm or cold cache.
+
+The cache is the --cache-dir directory and nothing else: run builds a
+hnrec.MemoStore only when the flag names one, and with no flag (or an empty
+one) nothing is read or written and --strict-cache has nothing to escalate.
 
 _execute builds one OutputDocument per command; every command but sympoly
 (genus, points) and divseries (genus, rank) carries (genus, rank, deg).
@@ -67,7 +71,7 @@ EXIT_CHECK_FAILURE = 3
 EXIT_CACHE = 4
 
 
-# The subcommands that keep a series memo, and so take the cache flags.
+# The subcommands that can cache a semistable series, and so take the cache flags.
 _MEMO_COMMANDS = ("ssseries", "betti")
 
 # Help strings of the integer flags that have one.
@@ -137,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-dir",
             default=None,
             metavar="DIR",
-            help="persistent series cache directory "
-            "(default: $HNBETTI_CACHE_DIR if set, else no persistence)",
+            help="persistent series cache directory",
         )
         p.add_argument(
             "--strict-cache",
@@ -197,8 +200,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.command in _MEMO_COMMANDS:
         from .hnrec import MemoStore, StructuralCheckError
 
-        memo = MemoStore(args.cache_dir or os.environ.get("HNBETTI_CACHE_DIR") or None)
         check_failure = StructuralCheckError
+        if args.cache_dir:  # '' is no cache, as is no flag
+            memo = MemoStore(args.cache_dir)
     try:
         doc = _execute(args, memo)
     except ValueError as exc:

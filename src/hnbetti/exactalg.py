@@ -6,8 +6,7 @@ are stripped, the zero polynomial is the empty tuple and has degree None.
 TruncatedSeries keeps exactly ``truncation_order + 1`` coefficients, trailing
 zeros included, and represents a power series modulo t^(truncation_order + 1).
 
-Series are values, compared and hashed like every record; agrees_with
-compares two truncations on their common prefix.
+Series are values, compared and hashed like every record.
 
 ``*`` takes two coefficient vectors (polynomial by polynomial, series by
 polynomial, series by series), and every such product goes through one kernel,
@@ -302,11 +301,6 @@ class TruncatedSeries(_Record):
                 f"prefix degree {max_degree} exceeds truncation order {self.truncation_order}"
             )
         return ExactPolynomial(self.coefficients[: max_degree + 1])
-
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Coefficientwise agreement up to the smaller truncation order."""
-        order = min(self.truncation_order, other.truncation_order)
-        return self.coefficients[: order + 1] == other.coefficients[: order + 1]
 
     def _binary(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         order = min(self.truncation_order, other.truncation_order)

@@ -70,7 +70,7 @@ of the old sequence come as j, i in the new one and contribute
 n_i (-d_j) - n_j (-d_i) + n_j n_i (g - 1) = n_j d_i - n_i d_j + n_i n_j (g - 1),
 their old term, so codim is kept, and so are k and the ranks.  The two sums
 agree term by term.  So ss_series reduces d to min(d mod r, -d mod r) <= r / 2,
-the duality class (genus, r, d) is the memo key, and the DP's extra order
+the duality class (genus, r, d) is the cache key, and the DP's extra order
 2 d (r - 1) below is at most r (r - 1).
 
 e >= 1 when k >= 2.  The first term is >= 0 for g >= 1.  The middle sum
@@ -124,7 +124,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -194,89 +193,40 @@ class BettiReport(_Record):
 
 
 class MemoStore:
-    """Memoized semistable series, keyed by (genus, rank, duality class).
+    """The cache directory of semistable series, keyed by (genus, rank, duality class).
 
     The semistable series of degree n equals that of n + rank (twist by a line
     bundle of degree 1) and that of -n (duality, see the module docstring), so
     one key serves every degree congruent to n or -n mod rank.  ss_series
     reduces the degree before it calls lookup or store; the degree passed here
-    is min(n mod rank, -n mod rank), so 0 <= 2 degree <= rank.  One entry per
-    key holds the longest series computed so far; shorter requests are served
-    by truncation.  Writes are serialized and idempotent: re-storing a value
-    that agrees on the common prefix is a no-op (the longer one is kept),
-    while a disagreeing value raises StructuralCheckError, since two runs of
-    an exact computation can never legitimately differ.
+    is min(n mod rank, -n mod rank), so 0 <= 2 degree <= rank.
 
-    With a cache directory set, every newly computed series is also written to
-    ``ss_g{genus}_r{rank}_n{degree}.json`` (_file_name), degree being the
-    reduced one: one file per key, whose order is the document's own
-    "truncation" field.  A write goes through a temp file of its own in the
-    same directory and an atomic rename, so concurrent writers never share a
-    temp file, and a longer series replaces the file.  A lookup reads that one
-    file; a missing file, or one whose order is below the request, is a silent
-    miss.  Unreadable or inconsistent files are misses too; a note is appended
-    to ``warnings`` for each.
-
-    Files of the older ``ss_g{genus}_r{rank}_n{degree}_T{order}.json`` layout
-    are never opened, so they can never be served.  When concurrent writers
-    store different orders for one key, the last rename wins and a later,
-    longer request recomputes; the answers never differ, since every writer
-    stores a prefix of the same exact series.
+    Each key is one file, ``ss_g{genus}_r{rank}_n{degree}.json`` (_file_name),
+    whose order is the document's own "truncation" field.  lookup reads that
+    one file and serves any order up to its own by truncation; a missing file,
+    or one whose order is below the request, is a silent miss.  Unreadable or
+    inconsistent files are misses too; a note is appended to ``warnings`` for
+    each.  store writes the series through a temp file of its own in the same
+    directory and an atomic rename, so concurrent writers never share a temp
+    file, and the new series replaces the file.  When concurrent writers store
+    different orders for one key, the last rename wins and a later, longer
+    request recomputes; the answers never differ, since every writer stores a
+    prefix of the same exact series.  Nothing is kept in memory: ss_series
+    calls store only after a miss, and with no MemoStore nothing is cached.
     """
 
-    def __init__(self, cache_dir: Union[str, Path, None] = None):
-        self._lock = threading.Lock()
-        self._entries: dict[tuple[int, int, int], TruncatedSeries] = {}
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+    def __init__(self, cache_dir: Union[str, Path]):
+        self.cache_dir = Path(cache_dir)
         self.warnings: list[str] = []
 
     def lookup(
         self, genus: int, rank: int, degree: int, order: int
     ) -> Optional[TruncatedSeries]:
-        with self._lock:
-            entry = self._entries.get((genus, rank, degree))
-        if entry is not None and entry.truncation_order >= order:
-            return entry.truncate(order)
-        if self.cache_dir is not None:
-            loaded = self._load_file(genus, rank, degree, order)
-            if loaded is not None:
-                self._merge((genus, rank, degree), loaded)
-                return loaded.truncate(order)
-        return None
+        loaded = self._load_file(genus, rank, degree, order)
+        return None if loaded is None else loaded.truncate(order)
 
     def store(self, genus: int, rank: int, degree: int, series: TruncatedSeries) -> None:
-        grew = self._merge((genus, rank, degree), series)
-        if grew and self.cache_dir is not None:
-            self._write_file(genus, rank, degree, series)
-
-    def _merge(self, key: tuple[int, int, int], series: TruncatedSeries) -> bool:
-        """Install series under key; returns whether it added new coefficients."""
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                if not existing.agrees_with(series):
-                    order = min(existing.truncation_order, series.truncation_order)
-                    bad = next(
-                        i
-                        for i in range(order + 1)
-                        if existing.coefficients[i] != series.coefficients[i]
-                    )
-                    raise StructuralCheckError(
-                        "conflicting series stored for one key; exact results "
-                        "must never differ",
-                        {
-                            "genus": key[0],
-                            "rank": key[1],
-                            "degree": key[2],
-                            "first_mismatch_index": bad,
-                            "existing_coefficient": existing.coefficients[bad],
-                            "new_coefficient": series.coefficients[bad],
-                        },
-                    )
-                if existing.truncation_order >= series.truncation_order:
-                    return False
-            self._entries[key] = series
-            return True
+        self._write_file(genus, rank, degree, series)
 
     def _file_name(self, genus: int, rank: int, degree: int) -> str:
         return f"ss_g{genus}_r{rank}_n{degree}.json"
@@ -295,7 +245,7 @@ class MemoStore:
                 raise ValueError("document metadata does not match its file name")
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             self.warnings.append(f"cache file {name}: {exc}")
             return None
         series = doc.payload
@@ -346,15 +296,17 @@ def ss_series(
 
     The composition sum of the module docstring, computed by its DP.  The
     series depends on the degree n only through min(n mod rank, -n mod rank),
-    which is what it is computed and memoized under.
+    which is what it is computed and cached under.  memo is the cache
+    directory: the series is read from it, or computed and written to it.
+    With memo None nothing is cached, and every call runs the DP.
     """
     _check_int("genus", genus, 1)
     _check_int("rank", rank, 1)
     _check_int("degree", degree)
     _check_int("truncation order", order, 0)
-    if memo is None:
-        memo = MemoStore()
     degree = min(degree % rank, -degree % rank)
+    if memo is None:
+        return _composition_sum(genus, rank, degree, order)
     series = memo.lookup(genus, rank, degree, order)
     if series is None:
         series = _composition_sum(genus, rank, degree, order)
@@ -405,10 +357,9 @@ def stratum_series(
     ss_series does not call this.  Summed over strata.enumerate_types, it is
     the Harder-Narasimhan recursion type by type, the reference that the
     composition sum of ss_series is tested against, an identity independent
-    of the inversion that ss_series computes.
+    of the inversion that ss_series computes.  memo is passed on to
+    ss_series for each piece.
     """
-    if memo is None:
-        memo = MemoStore()
     out = TruncatedSeries.one(order)
     for piece_rank, piece_degree in hn_type.pieces:
         out = out * ss_series(genus, piece_rank, piece_degree, order, memo)

@@ -15,7 +15,6 @@ import time
 from hnbetti.exactalg import ExactPolynomial
 from hnbetti.genfun import div_finite_poly, div_stable_series, residue_series
 from hnbetti.hnrec import (
-    MemoStore,
     betti_poly,
     dim_moduli,
     rank2_oracle,
@@ -63,7 +62,7 @@ def test_criterion_2_rank_two_oracle():
         dim = dim_moduli(genus, 2)
         order = 2 * dim + 10
         for degree in (1, 3, -1):
-            main = ss_series(genus, 2, degree, order, MemoStore())
+            main = ss_series(genus, 2, degree, order)
             oracle = rank2_oracle(genus, degree, order)
             assert main.coefficients == oracle.coefficients
             collapsed = oracle * ONE_MINUS_T2
@@ -115,12 +114,11 @@ def test_criterion_5_stratification_additivity():
     start = time.monotonic()
     for genus, rank, degree in ((2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1)):
         order = 2 * dim_moduli(genus, rank) + 10
-        memo = MemoStore()
-        total = ss_series(genus, rank, degree, order, memo)
+        total = ss_series(genus, rank, degree, order)
         for codim, hn_type in enumerate_types(rank, degree, genus, order // 2):
             shift = 2 * stratum_codim(hn_type, genus)
             assert shift == 2 * codim
-            piece = stratum_series(genus, hn_type, order - shift, memo)
+            piece = stratum_series(genus, hn_type, order - shift)
             total = total + piece.times_t_power(shift)
         closed = div_stable_series(genus, rank, order)
         assert total.coefficients == closed.coefficients
@@ -148,11 +146,10 @@ def test_criterion_6_enumeration_completeness():
 def test_criterion_7_structural_checks_across_grid():
     degrees_by_rank = {1: (0, 1), 2: (1, 3, -1), 3: (1, 2, -1), 4: (1, 3, -1)}
     for genus in (1, 2, 3):
-        memo = MemoStore()
         for rank in (1, 2, 3, 4):
             for degree in degrees_by_rank[rank]:
                 start = time.monotonic()
-                report = betti_poly(genus, rank, degree, memo=memo)
+                report = betti_poly(genus, rank, degree)
                 elapsed = time.monotonic() - start
                 # The answer itself, re-checked: degree exactly 2*dim,
                 # palindromic, nonnegative, and b_1 = 2g (the Jacobian's).

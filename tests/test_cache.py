@@ -85,7 +85,6 @@ def test_concurrent_writers_on_one_cache_dir(tmp_path):
     # Writers that shared one temp-file name made some of these runs exit 4
     # ("write failed") or read a half-written file.
     env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
-    env.pop("HNBETTI_CACHE_DIR", None)
     argv = [sys.executable, "-m", "hnbetti", "betti", "--genus", "3", "--rank", "3",
             "--deg", "1", "--strict-cache", "--cache-dir"]
     outputs = set()
@@ -201,7 +200,6 @@ def test_unrenderable_series_is_a_write_failure(tmp_path):
     assert len(memo.warnings) == 1
     assert memo.warnings[0].startswith("cache file ss_g2_r1_n0.json: write failed: ")
     assert list(tmp_path.iterdir()) == []
-    assert memo.lookup(2, 1, 0, 1) == series
 
 
 def test_one_file_per_key_holds_the_longest_series(tmp_path):

@@ -300,7 +300,6 @@ PINNED_RUNS = {
 def test_stdout_stderr_and_exit_code_are_pinned(capsys, monkeypatch, name):
     # argparse wraps its usage text to $COLUMNS, else to the terminal's width.
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("HNBETTI_CACHE_DIR", raising=False)
     command_line, *expected = PINNED_RUNS[name]
     assert list(_run(capsys, *command_line.split())) == expected
 
@@ -406,18 +405,65 @@ def test_exit_4_strict_cache(capsys, tmp_path):
     assert "cache warning" in err
 
 
-def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("HNBETTI_CACHE_DIR", str(tmp_path))
-    code, _, _ = _run(capsys, "ssseries", "--genus", "2", "--rank", "2", "--deg", "1",
-                      "--truncate", "8")
-    assert code == 0
-    assert (tmp_path / "ss_g2_r2_n1.json").exists()
+MEMO_REQUESTS = {
+    "betti": ("betti", "--genus", "2", "--rank", "3", "--deg", "1"),
+    "ssseries": ("ssseries", "--genus", "2", "--rank", "5", "--deg", "3", "--truncate", "12"),
+}
 
-    flag_dir = tmp_path / "flagged"
-    code, _, _ = _run(capsys, "ssseries", "--genus", "2", "--rank", "2", "--deg", "1",
-                      "--truncate", "8", "--cache-dir", str(flag_dir))
-    assert code == 0
-    assert (flag_dir / "ss_g2_r2_n1.json").exists()
+
+@pytest.mark.parametrize("name", MEMO_REQUESTS)
+def test_only_the_flag_names_a_cache_dir(capsys, tmp_path, monkeypatch, name):
+    # HNBETTI_CACHE_DIR was a second name for --cache-dir, so a shell that set
+    # it turned on disk I/O.  No variable is read, and an empty flag is no
+    # cache: the working directory is the variable's directory too, so an
+    # empty flag taken as "." would also leave a file there.
+    monkeypatch.setenv("HNBETTI_CACHE_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    for extra in ((), ("--cache-dir", ""), ("--strict-cache",)):
+        code, out, err = _run(capsys, *MEMO_REQUESTS[name], *extra)
+        assert (code, err) == (0, "")
+        assert out
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", MEMO_REQUESTS)
+def test_a_run_reads_its_cache_file_once_and_writes_it_at_most_once(
+    capsys, tmp_path, monkeypatch, name
+):
+    # A request computes one semistable series, so a run has nothing to keep
+    # in memory: a cold run reads the key's file (a miss) and writes it, a
+    # warm run reads it (a hit) and writes nothing, and a run without
+    # --cache-dir builds no store at all.
+    from hnbetti import hnrec
+
+    calls = []
+
+    class RecordingStore(hnrec.MemoStore):
+        def __init__(self, cache_dir):
+            calls.append("open")
+            super().__init__(cache_dir)
+
+        def _load_file(self, *args):
+            calls.append("read")
+            return super()._load_file(*args)
+
+        def _write_file(self, *args):
+            calls.append("write")
+            return super()._write_file(*args)
+
+    monkeypatch.setattr(hnrec, "MemoStore", RecordingStore)
+    argv = (*MEMO_REQUESTS[name], "--strict-cache", "--cache-dir", str(tmp_path))
+    outputs = []
+    for want in (["open", "read", "write"], ["open", "read"]):
+        calls.clear()
+        code, out, err = _run(capsys, *argv)
+        assert (code, err, calls) == (0, "", want)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert len(list(tmp_path.iterdir())) == 1
+    calls.clear()
+    assert _run(capsys, *MEMO_REQUESTS[name]) == (0, outputs[0], "")
+    assert calls == []
 
 
 def test_warm_cache_output_is_identical(capsys, tmp_path):
@@ -512,7 +558,6 @@ def _cli_under_digit_limit(*argv):
     """`python -m hnbetti ARGV` with int-to-str conversion limited to 640 digits."""
     env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
                PYTHONPATH=str(Path(hnbetti.__file__).resolve().parent.parent))
-    env.pop("HNBETTI_CACHE_DIR", None)
     return subprocess.run([sys.executable, "-m", "hnbetti", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -561,7 +606,6 @@ def test_larger_request_leaves_no_more_cyclic_garbage(capsys, monkeypatch, small
     # main runs with the collector off, so cyclic garbage that grew with the
     # request would stay until the process exits.  What any request leaves
     # is argparse's own parser, built once per run.
-    monkeypatch.delenv("HNBETTI_CACHE_DIR", raising=False)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -584,7 +628,6 @@ def _closed_stdout_run(argv, stdout):
     PYTHONUNBUFFERED, which would leave nothing in the buffer to flush at exit.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(hnbetti.__file__).resolve().parent.parent))
-    env.pop("HNBETTI_CACHE_DIR", None)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-m", "hnbetti", *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE)

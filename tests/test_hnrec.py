@@ -87,9 +87,9 @@ def test_ss_series_prefix_stability():
 
 def test_ss_series_twist_invariance():
     for genus, rank, degree in ((2, 2, 1), (2, 3, 2), (3, 2, -1)):
-        # Fresh memo stores on both sides, so memoization cannot mask a gap.
-        lhs = ss_series(genus, rank, degree, 16, MemoStore())
-        rhs = ss_series(genus, rank, degree + rank, 16, MemoStore())
+        # No cache on either side, so a stored series cannot mask a gap.
+        lhs = ss_series(genus, rank, degree, 16)
+        rhs = ss_series(genus, rank, degree + rank, 16)
         assert lhs.coefficients == rhs.coefficients
 
 
@@ -140,11 +140,8 @@ def test_ss_series_matches_composition_reference():
         for rank in range(1, 8):
             for order in (0, 1, 17, 36):
                 want = {d: composition_reference(genus, rank, d, order) for d in range(rank)}
-                # One memo per order: the DP runs once per twist class, and
-                # the other degrees of the class are served by the memo.
-                memo = MemoStore()
                 for degree in range(-rank, rank + 1):
-                    got = ss_series(genus, rank, degree, order, memo)
+                    got = ss_series(genus, rank, degree, order)
                     assert got.coefficients == want[degree % rank].coefficients, (
                         genus, rank, degree, order)
 
@@ -166,7 +163,7 @@ def test_stratum_series_examples():
     assert stratum_series(2, HNType(((2, 1),)), 1).coefficients == (1, 4)
 
 
-def test_betti_examples():
+def test_betti_examples(tmp_path):
     report = betti_poly(2, 1, 0)
     assert report.polynomial.coefficients == (1, 4, 6, 4, 1)
     assert report.moduli_dimension == 2
@@ -181,7 +178,7 @@ def test_betti_examples():
     report = betti_poly(3, 1, 0)
     assert report.polynomial.coefficients == tuple(math.comb(6, k) for k in range(7))
 
-    memo = MemoStore()
+    memo = MemoStore(tmp_path)
     report = betti_poly(2, 2, 1, memo=memo)
     assert report.polynomial.coefficients == (1, 4, 7, 12, 24, 32, 24, 12, 7, 4, 1)
     assert report.moduli_dimension == 5
@@ -222,16 +219,16 @@ def test_betti_fixed_determinant_quotient_and_hard_lefschetz(genus, rank, degree
     assert _hard_lefschetz(quotient, dim - genus)
 
 
-def test_betti_structural_failure_carries_diagnostic():
-    # Poison the memo with a well-formed but wrong series: the checks must
-    # catch it and the diagnostic must name what failed.
-    memo = MemoStore()
-    good = ss_series(2, 2, 1, 20, MemoStore())
+def test_betti_structural_failure_carries_diagnostic(tmp_path):
+    # Poison the cache file with a well-formed but wrong series: the checks
+    # must catch it and the diagnostic must name what failed.
+    good = ss_series(2, 2, 1, 20)
     bad = list(good.coefficients)
     bad[3] += 1
-    memo.store(2, 2, 1, TruncatedSeries(tuple(bad), 20))
+    MemoStore(tmp_path).store(2, 2, 1, TruncatedSeries(tuple(bad), 20))
+    assert [p.name for p in tmp_path.iterdir()] == ["ss_g2_r2_n1.json"]
     with pytest.raises(StructuralCheckError) as err:
-        betti_poly(2, 2, 1, memo=memo)
+        betti_poly(2, 2, 1, memo=MemoStore(tmp_path))
     assert "palindromic" in err.value.diagnostic["failed_checks"]
     assert err.value.diagnostic["rank"] == 2
 
@@ -254,32 +251,16 @@ def test_rank2_oracle_matches_recursion():
     for genus in (1, 2, 3):
         order = 2 * dim_moduli(genus, 2) + 10
         for degree in (1, 3, -1):
-            main = ss_series(genus, 2, degree, order, MemoStore())
+            main = ss_series(genus, 2, degree, order)
             oracle = rank2_oracle(genus, degree, order)
             assert main.coefficients == oracle.coefficients
 
 
-def test_memo_prefix_service_and_growth():
-    memo = MemoStore()
-    first = ss_series(2, 2, 1, 8, memo)
-    assert memo.lookup(2, 2, 1, 5).coefficients == first.coefficients[:6]
-    assert memo.lookup(2, 2, 1, 9) is None
-    longer = ss_series(2, 2, 1, 12, memo)
-    assert memo.lookup(2, 2, 1, 12).coefficients == longer.coefficients
-    assert longer.coefficients[:9] == first.coefficients
-
-
-def test_memo_store_is_idempotent_but_rejects_conflicts():
-    memo = MemoStore()
-    series = ss_series(2, 2, 1, 6, MemoStore())
-    memo.store(2, 2, 1, series)
-    memo.store(2, 2, 1, series)  # no-op
-    memo.store(2, 2, 1, series.truncate(3))  # shorter prefix: no-op
-    assert memo.lookup(2, 2, 1, 6).coefficients == series.coefficients
-    wrong = list(series.coefficients)
-    wrong[2] -= 1
-    with pytest.raises(StructuralCheckError):
-        memo.store(2, 2, 1, TruncatedSeries(tuple(wrong), 6))
+def test_memo_store_is_a_directory():
+    # The store is the cache directory and nothing else: with no directory
+    # there is no store, and ss_series(..., memo=None) caches nothing.
+    with pytest.raises(TypeError):
+        MemoStore()
 
 
 def test_memo_disk_roundtrip(tmp_path):
@@ -325,14 +306,14 @@ def test_memo_rejects_mismatched_file_metadata(tmp_path):
     assert any("does not match" in w for w in fresh.warnings)
 
 
-def test_strata_recursion_matches_type_enumeration():
+def test_strata_recursion_matches_type_enumeration(tmp_path):
     # The Harder-Narasimhan recursion, type by type: P_Div minus the
     # composition sum must be the sum over enumerated types, each stratum a
     # product of semistable series.  One memo store serves all degrees, so
     # twist-shifted keys get exercised.  The types come from
     # strata.enumerate_types, which test_enumerate_matches_brute_force checks.
     for genus in (1, 2, 3):
-        memo = MemoStore()
+        memo = MemoStore(tmp_path)
         for rank in range(1, 6):
             for degree in (-4, -1, 0, 1, 2, 5):
                 for order in (6, 17, 40, 61):
@@ -346,10 +327,11 @@ def test_strata_recursion_matches_type_enumeration():
                         piece = stratum_series(genus, hn_type, order - shift, memo)
                         want = want + piece.times_t_power(shift)
                     assert got.coefficients == want.coefficients, (genus, rank, degree, order)
+        assert not memo.warnings
 
 
 class _RecordingMemo(MemoStore):
-    def __init__(self, cache_dir=None):
+    def __init__(self, cache_dir):
         super().__init__(cache_dir)
         self.written = []
 
