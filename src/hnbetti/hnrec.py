@@ -175,9 +175,9 @@ class BettiReport(_Record):
     palindromic, nonnegative), or ValueError names the checks it fails.
     tail_vanishes is the one check a report cannot re-run: it needs the
     series past t^(2*dim), which betti_poly checks before it builds the
-    report.  A report parsed from JSON is held to the same rule.  The order
-    its series was computed to, 2*dim + TRUNCATION_SLACK, follows from the
-    dimension.
+    report.  A report a library caller builds is held to the same rule.  The
+    order its series was computed to, 2*dim + TRUNCATION_SLACK, follows from
+    the dimension.
     """
 
     __slots__ = ("polynomial", "moduli_dimension")
@@ -239,8 +239,6 @@ class MemoStore:
         name = self._file_name(genus, rank, degree)
         try:
             doc = parse_json((self.cache_dir / name).read_text(encoding="utf-8"))
-            if doc.kind != "series":
-                raise ValueError(f"unexpected document kind {doc.kind!r}")
             if (doc.genus, doc.rank, doc.degree) != (genus, rank, degree):
                 raise ValueError("document metadata does not match its file name")
         except FileNotFoundError:

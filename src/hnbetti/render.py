@@ -4,16 +4,19 @@ Every CLI result is wrapped in an OutputDocument of one of four kinds:
 ``polynomial``, ``series``, ``type-list``, ``betti-report``.  Renderers map a
 document to text, JSON, LaTeX, or CSV.  JSON is the machine format: integer
 coefficients are emitted as decimal strings so that arbitrary-precision values
-survive any JSON reader, the zero polynomial is the single string "0", and
-``parse_json(render_json(doc))`` reconstructs the document exactly.  The JSON
-object always carries the same keys, with null for fields that do not apply
-to the kind; type lists additionally carry a "types" key.
+survive any JSON reader, and the zero polynomial is the single string "0".
+The JSON object always carries the same keys, with null for fields that do
+not apply to the kind; type lists additionally carry a "types" key.
 
 A Betti report has passed every structural check (hnrec.CHECK_NAMES), so its
 text says "checks: all pass" and its JSON "checks" object holds each check's
 name, true.  Its series was computed to order 2*dim + hnrec.TRUNCATION_SLACK,
-which its JSON "truncation" states.  parse_json reads no other "checks" or
-"truncation" value.
+which its JSON "truncation" states.
+
+The program reads back one kind, the series a cache file holds: parse_json
+rebuilds a series document from exactly the text render_json writes for it,
+and refuses every other kind and every other text.  Polynomials, type lists
+and Betti reports are output only.
 
 Each renderer reads a polynomial, series or Betti-report document through one
 view, its coefficients and its series order or None.  A type list's payload is
@@ -44,9 +47,8 @@ class OutputDocument(_Record):
     """One renderable result plus the request metadata it answers.
 
     genus, rank and degree are ints or None, and version is a string.  A type
-    list needs its genus, which parse_json checks each stated codimension
-    against; it also checks that each type is proper and sums to the rank
-    and degree, where they are stated.
+    list needs its genus, on which its codimensions depend, and its rows are
+    (codim, HNType) pairs.
     """
 
     __slots__ = ("kind", "payload", "genus", "rank", "degree", "version")
@@ -203,27 +205,19 @@ def render_json(doc: OutputDocument) -> str:
     return json.dumps(obj, check_circular=False)
 
 
-def _coefficients(strings: object) -> tuple[int, ...]:
-    # Exactly the strings render_json writes: int() would also take a float or
-    # a bool and change the value silently, and it reads "+3", " 7 ", "1_000",
-    # "007", "-0" and "٣", which str() never writes.
-    if isinstance(strings, list) and all(isinstance(s, str) for s in strings):
-        coeffs = tuple(int(s) for s in strings)
-        if [str(c) for c in coeffs] == strings:
-            return coeffs
-    raise ValueError("coefficients must be a list of decimal strings as render_json writes them")
-
-
 def parse_json(text: str) -> OutputDocument:
-    """Inverse of render_json: rebuild the document, validating as it goes.
+    """Read back a series document, exactly as render_json writes it.
 
-    Every malformed document raises ValueError: a missing key or a value of
-    the wrong shape, which the lookups below meet as a KeyError or TypeError,
-    is reported as one, naming the key or the fault.  So is JSON nested too
-    deeply for the parser's recursion, which raises RecursionError.
+    A series is the one document the program reads back: ssseries and
+    divseries print it with --format json, and a cache file holds it.  Every
+    other document raises ValueError: another kind, a missing key or a value
+    of the wrong shape (which the lookups below meet as a KeyError, TypeError
+    or OverflowError, and report as one), any key or value that render_json
+    would not write for the series it holds, and JSON nested too deeply for
+    the parser's recursion, which raises RecursionError.
     """
     import json
-    from .exactalg import ExactPolynomial, TruncatedSeries
+    from .exactalg import TruncatedSeries
 
     try:
         data = json.loads(text)
@@ -232,67 +226,26 @@ def parse_json(text: str) -> OutputDocument:
     if not isinstance(data, dict):
         raise ValueError("document must be a JSON object")
     try:
-        kind = data["kind"]
-        if kind == "polynomial":
-            payload: object = ExactPolynomial(_coefficients(data["coefficients"]))
-        elif kind == "series":
-            coeffs = _coefficients(data["coefficients"])
-            payload = TruncatedSeries(coeffs, _check_int("truncation", data["truncation"]))
-        elif kind == "betti-report":
-            from .hnrec import CHECK_NAMES, TRUNCATION_SLACK, BettiReport
-
-            # Exactly what render_json writes.  1 == True, so each value is
-            # checked to be True itself.
-            checks = data["checks"]
-            if checks != dict.fromkeys(CHECK_NAMES, True) or any(
-                value is not True for value in checks.values()
-            ):
-                raise ValueError(
-                    f"checks must be {', '.join(CHECK_NAMES)}, each true; got {checks!r}"
-                )
-            payload = BettiReport(
-                polynomial=ExactPolynomial(_coefficients(data["coefficients"])),
-                moduli_dimension=data["dimension"],
-            )
-            order = 2 * payload.moduli_dimension + TRUNCATION_SLACK
-            if _check_int("truncation", data["truncation"]) != order:
-                raise ValueError(f"truncation must be 2*dim + {TRUNCATION_SLACK} = {order}, "
-                                 f"got {data['truncation']}")
-        elif kind == "type-list":
-            from .strata import HNType, stratum_codim
-
-            rank, degree = data["rank"], data["degree"]
-            rows = []
-            for entry in data["types"]:
-                hn_type = HNType(entry["pieces"])
-                # A type list holds proper types of its stated rank and degree.
-                pieces = hn_type.pieces
-                rank_sum, degree_sum = map(sum, zip(*pieces))
-                if len(pieces) < 2 or rank not in (None, rank_sum) or degree not in (None, degree_sum):
-                    raise ValueError(
-                        f"type {pieces} is not a proper type of rank {rank} and degree {degree}"
-                    )
-                # Rendering writes the codimension it is given, so a wrong one
-                # would be passed on without a word.
-                codim = stratum_codim(hn_type, data["genus"])
-                if _check_int("codim", entry["codim"]) != codim:
-                    raise ValueError(
-                        f"type {hn_type.pieces} has codimension {codim}, not {entry['codim']}"
-                    )
-                rows.append((codim, hn_type))
-            payload = tuple(rows)
-        else:
-            raise ValueError(f"unknown document kind {kind!r}")
-        return OutputDocument(
-            kind=kind,
-            payload=payload,
+        if data["kind"] != "series":
+            raise ValueError(f"unexpected document kind {data['kind']!r}")
+        # int() also reads 8.9, true, "+3", "007" and "-0", which render_json
+        # never writes: the comparison below refuses them.
+        coeffs = tuple(int(c) for c in data["coefficients"])
+        doc = OutputDocument(
+            kind="series",
+            payload=TruncatedSeries(coeffs, data["truncation"]),
             genus=data["genus"],
             rank=data["rank"],
             degree=data["degree"],
             version=data["version"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed document: {exc!r}") from None
+    written = json.loads(render_json(doc))
+    if written != data:
+        keys = sorted(k for k in {**written, **data} if written.get(k, ()) != data.get(k, ()))
+        raise ValueError(f"{', '.join(keys)} not as render_json writes them")
+    return doc
 
 
 RENDERERS = {

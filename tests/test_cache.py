@@ -111,11 +111,15 @@ def test_concurrent_writers_on_one_cache_dir(tmp_path):
 @pytest.mark.parametrize(
     "field, index, value",
     [("truncation", None, 4.0), ("coefficients", 2, 8.9), ("coefficients", 1, True),
-     ("genus", None, 2.0)],
+     ("genus", None, 2.0), ("variable", None, "x"), ("dimension", None, 5),
+     ("checks", None, {"a": 1}), ("types", None, []), ("coefficients", 1, float("inf"))],
 )
 def test_numbers_where_the_format_has_strings_are_a_miss(capsys, tmp_path, field, index, value):
     # These were served as 4.0, 8 and 1: a changed stdout, and exit 0.  A genus
     # of 2.0 matched the key 2 and was served with exit 0 under --strict-cache.
+    # A key or value render_json never writes in a series ("variable" "x", a
+    # "dimension", "checks" or "types") was served without a word.  int() of
+    # the float inf raises OverflowError, not ValueError.
     argv = ["ssseries", "--genus", "2", "--rank", "1", "--deg", "0", "--truncate", "4",
             "--strict-cache", "--cache-dir", str(tmp_path)]
     assert run(argv) == 0
@@ -133,6 +137,27 @@ def test_numbers_where_the_format_has_strings_are_a_miss(capsys, tmp_path, field
     assert out == cold
     assert "cache warning: cache file ss_g2_r1_n0.json" in err
     assert err.count("cache warning") == 1
+
+
+def test_a_cache_file_is_the_ssseries_answer(capsys, tmp_path):
+    # The file a run writes is byte for byte its --format json stdout, and that
+    # stdout, saved as the key's file, serves a betti request of that key.
+    argv = ["ssseries", "--genus", "2", "--rank", "3", "--deg", "1", "--truncate", "30",
+            "--format", "json", "--cache-dir", str(tmp_path / "written")]
+    assert run(argv) == 0
+    answer, _ = capsys.readouterr()
+    assert (tmp_path / "written" / "ss_g2_r3_n1.json").read_text(encoding="utf-8") == answer
+
+    betti = ["betti", "--genus", "2", "--rank", "3", "--deg", "1"]
+    assert run(betti) == 0
+    cold, _ = capsys.readouterr()
+    saved = tmp_path / "saved"
+    saved.mkdir()
+    (saved / "ss_g2_r3_n1.json").write_text(answer, encoding="utf-8")
+    files = _files(saved)
+    assert run(betti + ["--cache-dir", str(saved), "--strict-cache"]) == 0
+    assert capsys.readouterr() == (cold, "")
+    assert _files(saved) == files  # served from the file: nothing written
 
 
 def test_deeply_nested_file_is_a_miss(capsys, tmp_path):

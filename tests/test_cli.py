@@ -39,7 +39,7 @@ def test_betti_json(capsys):
     assert data["kind"] == "betti-report"
     assert data["coefficients"][5] == "32"
     assert data["dimension"] == 5
-    assert parse_json(out).genus == 2
+    assert data["genus"] == 2
 
 
 def test_sympoly_and_divpoly(capsys):
@@ -728,6 +728,30 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     everything = "import sys; before = set(sys.modules); from hnbetti import *; " \
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     assert _fresh_python(everything) == "[]\n"
+
+
+_PARSE_EACH = """
+import sys
+from hnbetti.render import parse_json
+for text in sys.argv[1:]:
+    try:
+        parse_json(text)
+    except ValueError:
+        pass
+print(sorted({"hnbetti.hnrec", "hnbetti.strata"} & set(sys.modules)))
+"""
+
+
+def test_parse_json_loads_neither_hnrec_nor_strata(capsys):
+    # parse_json reads series only, so reading a document of any kind loads
+    # neither layer that makes the other kinds.
+    texts = [_run(capsys, *argv.split(), "--format", "json")[1] for argv in (
+        "sympoly --genus 2 --points 1",
+        "ssseries --genus 2 --rank 2 --deg 1 --truncate 4",
+        "polygons --genus 2 --rank 2 --deg 1 --max-codim 4",
+        "betti --genus 2 --rank 2 --deg 1",
+    )]
+    assert _fresh_python(_PARSE_EACH, *texts) == "[]\n"
 
 
 # The home module of each name in hnbetti.__all__ but "render", which is the

@@ -127,8 +127,13 @@ def test_document_validation():
 
 
 def test_json_roundtrip_every_kind():
+    # A series is the one kind read back; the other three are output only.
     for doc in _docs():
-        assert parse_json(render_json(doc)) == doc
+        if doc.kind == "series":
+            assert parse_json(render_json(doc)) == doc
+        else:
+            with pytest.raises(ValueError, match=f"unexpected document kind '{doc.kind}'"):
+                parse_json(render_json(doc))
 
 
 def test_json_schema_keys_and_string_coefficients():
@@ -167,8 +172,6 @@ def test_json_schema_keys_and_string_coefficients():
 def test_json_zero_polynomial_convention():
     data = json.loads(render_json(OutputDocument("polynomial", ExactPolynomial.zero())))
     assert data["coefficients"] == ["0"]
-    back = parse_json(json.dumps(data))
-    assert back.payload.is_zero()
 
 
 def test_json_huge_coefficients_survive():
@@ -179,7 +182,9 @@ def test_json_huge_coefficients_survive():
     middle = data["coefficients"][50]
     assert middle == str(math.comb(100, 50))
     assert len(middle) == 30
-    assert parse_json(render_json(doc)) == doc
+    series = OutputDocument("series", TruncatedSeries(report.polynomial.coefficients, 100),
+                            genus=50, rank=1, degree=0)
+    assert parse_json(render_json(series)) == series
 
 
 def test_text_rendering():
@@ -266,29 +271,17 @@ def test_parse_json_rejects_garbage():
     # A missing key is a ValueError that names it, wherever it is missing.
     with pytest.raises(ValueError, match="'kind'"):
         parse_json("{}")
-    docs = {d.kind: json.loads(render_json(d)) for d in reversed(_docs()) if d.payload}
-    for kind, path in [("series", ("version",)), ("series", ("truncation",)),
-                       ("type-list", ("types", 0, "codim")),
-                       ("betti-report", ("checks", "palindromic")),
-                       ("betti-report", ("checks", "tail_vanishes")),
-                       ("betti-report", ("checks", "degree_matches_2dim")),
-                       ("betti-report", ("checks", "nonnegative"))]:
-        data = json.loads(json.dumps(docs[kind]))
-        target = data
-        for key in path[:-1]:
-            target = target[key]
-        del target[path[-1]]
-        with pytest.raises(ValueError, match=path[-1]):
+    series = json.loads(render_json(next(d for d in _docs() if d.kind == "series")))
+    for key in ("version", "truncation"):
+        data = dict(series)
+        del data[key]
+        with pytest.raises(ValueError, match=key):
             parse_json(json.dumps(data))
-    data = json.loads(json.dumps(docs["betti-report"]))
-    data["checks"]["extra"] = True
-    with pytest.raises(ValueError, match="extra"):
-        parse_json(json.dumps(data))
     # Coefficients are exactly the strings str() writes; int() reads all of these.
     for text in ("1_000", " 7 ", "+3", "007", "-0", "\u0663", "4\n"):
-        data = json.loads(json.dumps(docs["series"]))
+        data = json.loads(json.dumps(series))
         data["coefficients"][1] = text
-        with pytest.raises(ValueError, match="decimal strings"):
+        with pytest.raises(ValueError, match="coefficients not as render_json writes them"):
             parse_json(json.dumps(data))
 
 
@@ -333,41 +326,12 @@ def test_parse_json_rejects_garbage():
 )
 def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
     # Coefficients are decimal strings, and the other numbers plain ints: int()
-    # would have read 8.9 as 8 and True as 1.
+    # would have read 8.9 as 8 and True as 1.  Only the series rows reach the
+    # series reader; a document of any other kind is refused by its kind.
     data = json.loads(render_json(next(d for d in _docs() if d.kind == kind)))
     target = data
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
     with pytest.raises(ValueError):
-        parse_json(json.dumps(data))
-
-
-def test_parse_json_rejects_a_wrong_codimension():
-    # Rendering writes the codimension it is given, so a wrong one would
-    # otherwise be passed on silently: (1;1)(1;0) has codimension 2 at genus 2.
-    doc = next(d for d in _docs() if d.kind == "type-list" and d.payload)
-    data = json.loads(render_json(doc))
-    assert data["types"][0]["codim"] == 2
-    data["types"][0]["codim"] = 99
-    with pytest.raises(ValueError, match="codimension 2, not 99"):
-        parse_json(json.dumps(data))
-
-
-@pytest.mark.parametrize(
-    "rank, degree, types",
-    [
-        (4, 1, [{"codim": 2, "pieces": [[1, 1], [1, 0]]}, {"codim": 0, "pieces": [[4, 1]]}]),
-        (2, 3, [{"codim": 2, "pieces": [[1, 1], [1, 0]]}]),
-        (4, 1, [{"codim": 0, "pieces": [[4, 1]]}]),
-    ],
-    ids=["rank", "degree", "semistable"],
-)
-def test_parse_json_rejects_types_that_contradict_the_document(rank, degree, types):
-    # A type list holds proper types of its stated rank and degree, and every
-    # codimension here is the one its pieces give at genus 2.
-    doc = next(d for d in _docs() if d.kind == "type-list" and d.payload)
-    data = json.loads(render_json(doc))
-    data.update(rank=rank, degree=degree, types=types)
-    with pytest.raises(ValueError, match=f"not a proper type of rank {rank} and degree {degree}"):
         parse_json(json.dumps(data))
