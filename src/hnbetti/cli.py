@@ -31,6 +31,8 @@ one) nothing is read or written and --strict-cache has nothing to escalate.
 
 _execute builds one OutputDocument per command; every command but sympoly
 (genus, points) and divseries (genus, rank) carries (genus, rank, deg).
+polygons hands the flat rows of strata.type_rows to the document unchecked,
+as they are int tuples by construction.
 Each command imports only the modules it runs, after its arguments parse, so
 --version, --help and a usage error load no layer of the library, and
 polygons loads strata and render but no polynomial arithmetic.
@@ -39,10 +41,13 @@ main, the process entry point, turns the cyclic garbage collector off before
 run: the process exits as soon as run returns, and what a request builds is
 freed by reference counting (tests/test_cli.py checks that a larger request
 leaves no more cyclic garbage than a small one).  Left on, the collector
-would walk every live HNType of a large polygons request, over and over, to
-free nothing.  main also lifts CPython's limit on int-to-decimal conversion
-(sys.int_max_str_digits, 4300 digits by default): a valid request can print or
-cache a coefficient longer than that, and str() would refuse it.  The limit
+would walk every live row of a large polygons request, over and over, to
+free nothing.  main then freezes what start-up and the imports made
+(gc.freeze), which moves it to the permanent generation: the one collection
+CPython still runs at interpreter exit skips it, and finalization is kept,
+unlike with os._exit.  main also lifts CPython's limit on int-to-decimal
+conversion (sys.int_max_str_digits, 4300 digits by default): a valid request
+can print or cache a coefficient longer than that, and str() would refuse it.  The limit
 guards against parsing huge numbers from untrusted text; the only numbers this
 process parses are its own arguments and its own cache files.  run itself
 leaves the collector and the limit as it found them, so a library caller that
@@ -170,10 +175,14 @@ def _execute(args: argparse.Namespace, memo: Optional[MemoStore]) -> OutputDocum
         kind = "polynomial"
         payload = div_finite_poly(args.genus, args.rank, args.deg, args.twist)
     elif args.command == "polygons":
-        from .strata import enumerate_types
+        from .strata import type_rows
 
-        kind = "type-list"
-        payload = tuple(enumerate_types(args.rank, args.deg, args.genus, args.max_codim))
+        # Int tuples by construction: OutputDocument's row check is for
+        # library input, and does not walk them again.
+        rows = tuple(type_rows(args.rank, args.deg, args.genus, args.max_codim))
+        return OutputDocument._trusted(
+            "type-list", rows, args.genus, args.rank, args.deg, __version__
+        )
     elif args.command == "ssseries":
         from .hnrec import ss_series
 
@@ -226,6 +235,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 def main() -> None:
     # The collector, the digit limit and a closed stdout: see the module docstring.
     gc.disable()
+    gc.freeze()
     if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
         sys.set_int_max_str_digits(0)
     try:

@@ -20,14 +20,17 @@ and Betti reports are output only.
 
 Each renderer reads a polynomial, series or Betti-report document through one
 view, its coefficients and its series order or None.  A type list's payload is
-a tuple of (codimension, HNType) rows, as strata.enumerate_types returns them:
-the renderers write the codimensions they are given and compute none.
+a tuple of flat int rows (codim, r1, d1, ..., rk, dk), as strata.type_rows
+returns them: the renderers write the codimensions they are given and compute
+none.  Each writes a row with one format string for its length, built on
+first use (_RowFormats), so a row costs one C-level format call.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Iterator, Optional, Sequence
+from itertools import chain
+from typing import Callable, Optional, Sequence
 
 from ._base import _Record, _check_int
 from ._version import __version__
@@ -43,12 +46,25 @@ _PAYLOAD_TYPES = {
 }
 
 
+def _are_type_rows(rows: tuple) -> bool:
+    """Whether every row is a tuple of ints (not bools) of odd length >= 3.
+
+    Three passes in C, over the rows, their lengths and their entries.
+    """
+    return (
+        set(map(type, rows)) <= {tuple}
+        and all(n % 2 and n > 1 for n in set(map(len, rows)))
+        and set(map(type, chain.from_iterable(rows))) <= {int}
+    )
+
+
 class OutputDocument(_Record):
     """One renderable result plus the request metadata it answers.
 
     genus, rank and degree are ints or None, and version is a string.  A type
     list needs its genus, on which its codimensions depend, and its rows are
-    (codim, HNType) pairs.
+    tuples of ints (not bools) of odd length >= 3, (codim, r1, d1, ..., rk,
+    dk); the pieces are written as given, not checked to form a type.
     """
 
     __slots__ = ("kind", "payload", "genus", "rank", "degree", "version")
@@ -74,16 +90,13 @@ class OutputDocument(_Record):
             if value is not None:
                 _check_int(name, value)
         if kind == "type-list":
-            from .strata import HNType
-
             if genus is None:
                 raise ValueError("type lists need genus metadata for codimensions")
-            for row in payload:
-                if not (
-                    type(row) is tuple and len(row) == 2
-                    and type(row[0]) is int and type(row[1]) is HNType
-                ):
-                    raise ValueError(f"type-list rows must be (codim, HNType) pairs, got {row!r}")
+            if not _are_type_rows(payload):
+                bad = next(row for row in payload if not _are_type_rows((row,)))
+                raise ValueError(
+                    f"type-list rows must be int tuples (codim, r1, d1, ..., rk, dk), got {bad!r}"
+                )
         self._fill(kind, payload, genus, rank, degree, version)
 
 
@@ -125,20 +138,21 @@ def _expression(doc: OutputDocument, braces: bool) -> str:
     return tail if body == "0" else f"{body} + {tail}"
 
 
-def _type_rows(doc: OutputDocument) -> Iterator[tuple[int, str]]:
-    """Each row of a type list as (codimension, "(r;d)(r;d)..."), in one pass.
+class _RowFormats(dict):
+    """Format strings for type-list rows, by row length, each built on first use.
 
-    The text of each distinct piece is built once per document.
+    formats[len(row)] is build(k) for a row of k pieces, (codim, r1, d1, ...,
+    rk, dk): a renderer fills it with the row's 2k + 1 ints in one call.
     """
-    words: dict[tuple[int, int], str] = {}
-    for codim, t in doc.payload:
-        parts = []
-        for piece in t.pieces:
-            word = words.get(piece)
-            if word is None:
-                word = words[piece] = f"({piece[0]};{piece[1]})"
-            parts.append(word)
-        yield codim, "".join(parts)
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[int], str]) -> None:
+        self.build = build
+
+    def __missing__(self, length: int) -> str:
+        fmt = self[length] = self.build(length // 2)
+        return fmt
 
 
 def render_text(doc: OutputDocument) -> str:
@@ -148,7 +162,8 @@ def render_text(doc: OutputDocument) -> str:
         if value is not None
     )
     if doc.kind == "type-list":
-        lines = [f"codim {codim}: {text}" for codim, text in _type_rows(doc)]
+        formats = _RowFormats(lambda k: "codim %d: " + "(%d;%d)" * k)
+        lines = [formats[len(row)] % row for row in doc.payload]
         return "\n".join(lines + [f"({len(doc.payload)} types; {metadata})"])
     body = _expression(doc, braces=False)
     if doc.kind == "betti-report":
@@ -159,13 +174,20 @@ def render_text(doc: OutputDocument) -> str:
 def render_latex(doc: OutputDocument) -> str:
     if doc.kind != "type-list":
         return _expression(doc, braces=True)
-    rows = [f"\\left[{text}\\right]_{{{codim}}}" for codim, text in _type_rows(doc)]
+    # The codimension comes last, so the pieces' fields are indexed from 1.
+    formats = _RowFormats(
+        lambda k: "\\left["
+        + "".join(f"({{{i}}};{{{i + 1}}})" for i in range(1, 2 * k, 2))
+        + "\\right]_{{{0}}}"
+    )
+    rows = [formats[len(row)].format(*row) for row in doc.payload]
     return ",\\ ".join(rows) or "\\varnothing"
 
 
 def render_csv(doc: OutputDocument) -> str:
     if doc.kind == "type-list":
-        rows = [f"{codim},{text}" for codim, text in _type_rows(doc)]
+        formats = _RowFormats(lambda k: "%d," + "(%d;%d)" * k)
+        rows = [formats[len(row)] % row for row in doc.payload]
     else:
         coeffs, _ = _coefficients_and_order(doc)
         rows = [f"{i},{c}" for i, c in enumerate(coeffs or (0,))]
@@ -188,9 +210,14 @@ def render_json(doc: OutputDocument) -> str:
         "version": doc.version,
     }
     if doc.kind == "type-list":
-        # json writes the (rank, degree) tuples as arrays.
-        obj["types"] = [{"codim": codim, "pieces": t.pieces} for codim, t in doc.payload]
-        return json.dumps(obj, check_circular=False)
+        # "types" is the last key: each row is written as json.dumps would
+        # write {"codim": codim, "pieces": [[r1, d1], ...]}, and the list is
+        # spliced in before the closing brace of the other keys.
+        formats = _RowFormats(
+            lambda k: '{"codim": %d, "pieces": [' + ", ".join(["[%d, %d]"] * k) + "]}"
+        )
+        types = ", ".join([formats[len(row)] % row for row in doc.payload])
+        return f'{json.dumps(obj)[:-1]}, "types": [{types}]}}'
     coeffs, order = _coefficients_and_order(doc)
     obj["coefficients"] = [str(c) for c in coeffs] or ["0"]
     obj["truncation"] = order

@@ -27,8 +27,11 @@ and when D/R is below a cap, the types of (R, D) with top slope below the cap
 and codimension <= C are the semistable type (R, D), of codimension 0, and
 for each first piece with slope below the cap and c1 <= C, that piece
 followed by each type of the rest with top slope below d1/r1 and
-codimension <= C - c1.  enumerate_types walks this recursion depth first,
-passing down the pieces chosen so far and their codimension.
+codimension <= C - c1.  type_rows walks this recursion depth first,
+passing down the pieces chosen so far and their codimension, and writes each
+type as one flat row of ints (codim, r'_1, d'_1, ..., r'_l, d'_l): no pair
+and no HNType is built.  enumerate_types is the same list as (codim, HNType)
+rows.
 
 Range of the first pieces (genus >= 1).  The top slope of a proper type
 exceeds its average slope, so d1/r1 > D/R, and r1 < R.  Then R d1 - r1 D >= 1
@@ -43,18 +46,19 @@ the rest's slope (D - d1)/(R - r1) lies below D/R, hence below d1/r1.  At
 genus 0 the term r1 (R - r1)(g - 1) is negative, c1 can be 0 or less, and
 the budget no longer shrinks down the recursion; genus 0 is rejected.
 
-Emission order.  The walk appends each finished type to a bucket per
+Emission order.  The walk appends each finished row to a bucket per
 codimension, and the buckets concatenated in codimension order are sorted by
-(codimension, pieces): only the distinct codimensions are sorted, not the
-types.  At every node it visits the first pieces in ascending (r1, d1) order,
-each subtree whole, and then the semistable tail (R, D).  Take two types in
-one bucket and the node where their pieces first differ.  Neither type's
-pieces are a proper prefix of the other's, since both sum to (r, n) and every
-rank is positive, so both go on from that node.  Each piece there is a first
-piece or the tail, and every first piece has r1 < R, so it sorts before the
-tail (in fact a type ending in the tail has the node's codimension, while one
-through a first piece adds c1 >= 1, so they never share a bucket).  Hence the
-type whose piece there is smaller was appended first, and each bucket is in
+(codimension, pieces), which is also the order of the flat rows: only the
+distinct codimensions are sorted, not the types.  At every node the walk
+visits the first pieces in ascending (r1, d1) order, each subtree whole, and
+then the semistable tail (R, D).  Take two types in one bucket and the node
+where their pieces first differ.  Neither type's pieces are a proper prefix
+of the other's, since both sum to (r, n) and every rank is positive, so both
+go on from that node.  Each piece there is a first piece or the tail, and
+every first piece has r1 < R, so it sorts before the tail (in fact a type
+ending in the tail has the node's codimension, while one through a first
+piece adds c1 >= 1, so they never share a bucket).  Hence the type whose
+piece there is smaller was appended first, and each bucket is in
 lexicographic order of pieces.
 """
 
@@ -112,18 +116,17 @@ def stratum_codim(hn_type: HNType, genus: int) -> int:
     return total
 
 
-def enumerate_types(
-    rank: int, degree: int, genus: int, max_codim: int
-) -> list[tuple[int, HNType]]:
+def type_rows(rank: int, degree: int, genus: int, max_codim: int) -> list[tuple[int, ...]]:
     """All proper types of the given rank and degree with codimension <= max_codim.
 
-    Each comes as a row (codimension, type), the codimension being the one
-    stratum_codim gives.  Proper means at least two pieces (the semistable
-    stratum itself is not listed).  Rows are sorted by (codimension, pieces),
-    so the list for a smaller budget is a prefix of the list for a larger one;
-    the walk emits them in that order, bucketed by codimension (see the module
-    docstring).  Genus 0 is rejected: see the module docstring for why the
-    recursion needs genus >= 1.
+    Each type comes as one flat row of ints (codim, r1, d1, ..., rk, dk): its
+    codimension, the one stratum_codim gives, then the rank and degree of each
+    piece.  Proper means at least two pieces (the semistable stratum itself is
+    not listed).  Rows are sorted by (codimension, pieces), so the list for a
+    smaller budget is a prefix of the list for a larger one; the walk emits
+    them in that order, bucketed by codimension (see the module docstring).
+    Genus 0 is rejected: see the module docstring for why the recursion needs
+    genus >= 1.
     """
     _check_int("genus", genus, 1)
     _check_int("rank", rank, 1)
@@ -132,16 +135,14 @@ def enumerate_types(
     g1 = genus - 1
     # Keyed by codimension, not a list of max_codim + 1 buckets: the budget
     # can be far larger than any codimension reached.
-    buckets: dict[int, list[HNType]] = defaultdict(list)
-    # HNType._trusted inlined, through the slot's own setter, which
-    # _Record.__setattr__ does not block: the walk builds int pieces with
-    # positive ranks and dropping slopes, and its cost is per type.
-    new, fill = object.__new__, HNType.pieces.__set__
+    buckets: dict[int, list[tuple[int, ...]]] = defaultdict(list)
 
     def walk(R: int, D: int, cap_d: int, cap_r: int, budget: int, codim: int, prefix: tuple):
-        # Put prefix + t into buckets[codim + codim(t)] for every type t of
-        # (R, D) with top slope below cap_d / cap_r and codim(t) <= budget:
-        # first pieces by rank, then degree, ascending; the semistable t last.
+        # Put (c,) + prefix + t into buckets[c], c = codim + codim(t), for every
+        # type t of (R, D) with top slope below cap_d / cap_r and codim(t) <=
+        # budget: first pieces by rank, then degree, ascending; the semistable
+        # t last.  prefix and t are flat (r1, d1, r2, d2, ...) tuples, prefix
+        # holding the pieces above this node.
         for r1 in range(1, R):
             base = r1 * (R - r1) * g1 - r1 * D  # c1 = R * d1 + base
             d_hi = min((budget - base) // R, (cap_d * r1 - 1) // cap_r)
@@ -151,22 +152,32 @@ def enumerate_types(
                 # always below its cap: emit it here, where its own walk call
                 # would, and make no call that loops over nothing.
                 for d1 in d1s:
-                    hn_type = new(HNType)
-                    fill(hn_type, prefix + ((r1, d1), (1, D - d1)))
-                    buckets[codim + R * d1 + base].append(hn_type)
+                    c = codim + R * d1 + base
+                    buckets[c].append((c,) + prefix + (r1, d1, 1, D - d1))
             else:
                 for d1 in d1s:
                     c1 = R * d1 + base
-                    walk(R - r1, D - d1, d1, r1, budget - c1, codim + c1, prefix + ((r1, d1),))
-        hn_type = new(HNType)
-        fill(hn_type, prefix + ((R, D),))
-        buckets[codim].append(hn_type)
+                    walk(R - r1, D - d1, d1, r1, budget - c1, codim + c1, prefix + (r1, d1))
+        buckets[codim].append((codim,) + prefix + (R, D))
 
     # A first piece with c1 <= max_codim has slope at most D/R + max_codim, so
     # this cap never binds at the top.
     walk(rank, degree, abs(degree) + max_codim + 1, 1, max_codim, 0, ())
     # walk holds itself through its closure cell: clear the cell, or walk,
-    # buckets and every type in them live on as cyclic garbage until a GC pass.
+    # buckets and every row in them live on as cyclic garbage until a GC pass.
     del walk
     # Codimension 0 holds only the semistable type.
-    return [(codim, hn_type) for codim in sorted(buckets)[1:] for hn_type in buckets[codim]]
+    rows: list[tuple[int, ...]] = []
+    for codim in sorted(buckets)[1:]:
+        rows += buckets[codim]
+    return rows
+
+
+def enumerate_types(
+    rank: int, degree: int, genus: int, max_codim: int
+) -> list[tuple[int, HNType]]:
+    """The rows of type_rows as (codimension, HNType) pairs, in the same order."""
+    return [
+        (row[0], HNType._trusted(tuple(zip(row[1::2], row[2::2]))))
+        for row in type_rows(rank, degree, genus, max_codim)
+    ]

@@ -478,11 +478,19 @@ def test_warm_cache_output_is_identical(capsys, tmp_path):
 def test_help_and_version_exit_zero(capsys):
     assert _run(capsys, "--help")[0] == 0
     assert _run(capsys, "--version")[0] == 0
-    with pytest.raises(SystemExit):
-        # main() is the console entry point and must translate run() into an exit.
-        from hnbetti.cli import main
+    # main turns the collector off and freezes what it tracks, for its own
+    # process: give the tests that run after this one their collector back.
+    was_enabled = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit):
+            # main() is the console entry point and must translate run() into an exit.
+            from hnbetti.cli import main
 
-        main()
+            main()
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -783,6 +791,7 @@ _HOMES = {
     "stratum_codim": "strata",
     "stratum_series": "hnrec",
     "sym_product_poly": "genfun",
+    "type_rows": "strata",
 }
 
 # Imports one module first, then prints every name of hnbetti.__all__ that is

@@ -16,7 +16,7 @@ from hnbetti.render import (
     render_latex,
     render_text,
 )
-from hnbetti.strata import HNType
+from hnbetti.strata import HNType, enumerate_types, type_rows
 
 BETTI_2_2_1 = BettiReport(
     polynomial=ExactPolynomial((1, 4, 7, 12, 24, 32, 24, 12, 7, 4, 1)),
@@ -32,11 +32,7 @@ def _docs():
             "series", TruncatedSeries((1, 4, 8, 16), 3), genus=2, rank=2, degree=1
         ),
         OutputDocument(
-            "type-list",
-            ((2, HNType(((1, 1), (1, 0)))), (4, HNType(((1, 2), (1, -1))))),
-            genus=2,
-            rank=2,
-            degree=1,
+            "type-list", ((2, 1, 1, 1, 0), (4, 1, 2, 1, -1)), genus=2, rank=2, degree=1
         ),
         OutputDocument("type-list", (), genus=2, rank=1, degree=0),
         OutputDocument("betti-report", BETTI_2_2_1, genus=2, rank=2, degree=1),
@@ -115,11 +111,13 @@ def test_document_validation():
     with pytest.raises(ValueError):
         OutputDocument("polynomial", TruncatedSeries((1,), 0))
     with pytest.raises(ValueError):
-        OutputDocument("type-list", ((0, HNType(((1, 0),))),))  # no genus
-    # Rows are (codim, HNType) pairs, and the metadata is ints or None.
-    for rows in ((HNType(((1, 0),)),), ((0.0, HNType(((1, 0),))),), ((True, HNType(((1, 0),))),),
-                 ((0, ((1, 0),)),), ((0, HNType(((1, 0),)), 1),)):
-        with pytest.raises(ValueError):
+        OutputDocument("type-list", ((2, 1, 1, 1, 0),))  # no genus
+    # Rows are flat int tuples (codim, r1, d1, ..., rk, dk), and the metadata
+    # is ints or None.
+    for rows in (((2.0, 1, 1, 1, 0),), ((2, 1, 1, 1, True),), ((2, 1, 1, "1", 0),),
+                 ((2, 1, 1, 1, 0), (4, 1, 2, 1, -1, 0)), ((2,),), ([2, 1, 1, 1, 0],),
+                 ((0, HNType(((1, 0),))),)):
+        with pytest.raises(ValueError, match="type-list rows must be int tuples"):
             OutputDocument("type-list", rows, genus=2)
     for metadata in ({"genus": "two"}, {"genus": 2.0}, {"rank": 2.5}, {"degree": True}):
         with pytest.raises(ValueError, match="expected an integer"):
@@ -214,11 +212,7 @@ def test_text_negative_and_zero_terms():
 
 def test_type_list_text():
     doc = OutputDocument(
-        "type-list",
-        ((2, HNType(((1, 1), (1, 0)))), (4, HNType(((1, 2), (1, -1))))),
-        genus=2,
-        rank=2,
-        degree=1,
+        "type-list", ((2, 1, 1, 1, 0), (4, 1, 2, 1, -1)), genus=2, rank=2, degree=1
     )
     assert render_text(doc) == (
         "codim 2: (1;1)(1;0)\n"
@@ -232,7 +226,7 @@ def test_latex_rendering():
     assert render_latex(
         OutputDocument("series", TruncatedSeries((1, 4), 1), genus=2, rank=1)
     ) == "1 + 4t + O(t^{2})"
-    doc = OutputDocument("type-list", ((2, HNType(((1, 1), (1, 0)))),), genus=2)
+    doc = OutputDocument("type-list", ((2, 1, 1, 1, 0),), genus=2)
     assert render_latex(doc) == "\\left[(1;1)(1;0)\\right]_{2}"
     assert render_latex(OutputDocument("type-list", (), genus=2)) == "\\varnothing"
 
@@ -246,13 +240,54 @@ def test_csv_rendering():
         OutputDocument("series", TruncatedSeries((1, 0, 0, 16), 3), genus=2)
     ) == "0,1\n1,0\n2,0\n3,16"
     doc = OutputDocument(
-        "type-list",
-        ((2, HNType(((1, 1), (1, 0)))), (4, HNType(((1, 2), (1, -1))))),
-        genus=2,
-        rank=2,
-        degree=1,
+        "type-list", ((2, 1, 1, 1, 0), (4, 1, 2, 1, -1)), genus=2, rank=2, degree=1
     )
     assert render_csv(doc) == "2,(1;1)(1;0)\n4,(1;2)(1;-1)"
+
+
+def _pieces_text(t):
+    return "".join(f"({r};{d})" for r, d in t.pieces)
+
+
+def _per_piece_render(rows, fmt, genus, rank, degree):
+    """A type list of (codim, HNType) rows, written one piece at a time.
+
+    The renderers as they were before type-list rows became flat: the
+    reference that the per-length format strings must match byte for byte.
+    """
+    if fmt == "text":
+        lines = [f"codim {codim}: {_pieces_text(t)}" for codim, t in rows]
+        metadata = f"genus {genus}, rank {rank}, deg {degree}"
+        return "\n".join(lines + [f"({len(rows)} types; {metadata})"])
+    if fmt == "latex":
+        texts = [f"\\left[{_pieces_text(t)}\\right]_{{{codim}}}" for codim, t in rows]
+        return ",\\ ".join(texts) or "\\varnothing"
+    if fmt == "csv":
+        return "\n".join(f"{codim},{_pieces_text(t)}" for codim, t in rows)
+    obj = {"kind": "type-list", "genus": genus, "rank": rank, "degree": degree,
+           "variable": "t", "coefficients": None, "truncation": None, "dimension": None,
+           "checks": None, "version": "0.1.0",
+           "types": [{"codim": codim, "pieces": t.pieces} for codim, t in rows]}
+    return json.dumps(obj)
+
+
+def test_flat_rows_render_as_the_per_piece_renderers_did():
+    # One format string per row length writes the same bytes as the renderers
+    # that wrote each piece of an HNType, the empty list (budget 0) included.
+    # Every row of type_rows also passes OutputDocument's row check, which
+    # the polygons command does not run on them.
+    for genus in (1, 2, 3):
+        for rank in range(1, 8):
+            for degree in range(-3, 4):
+                for budget in (0, 5, 40):
+                    rows = tuple(type_rows(rank, degree, genus, budget))
+                    doc = OutputDocument("type-list", rows, genus=genus, rank=rank,
+                                         degree=degree)
+                    typed = enumerate_types(rank, degree, genus, budget)
+                    for fmt in ("text", "latex", "csv", "json"):
+                        assert render(doc, fmt) == _per_piece_render(
+                            typed, fmt, genus, rank, degree
+                        ), (genus, rank, degree, budget, fmt)
 
 
 def test_render_dispatch():
@@ -327,11 +362,13 @@ def test_parse_json_rejects_garbage():
 def test_parse_json_rejects_numbers_of_the_wrong_type(kind, path, value):
     # Coefficients are decimal strings, and the other numbers plain ints: int()
     # would have read 8.9 as 8 and True as 1.  Only the series rows reach the
-    # series reader; a document of any other kind is refused by its kind.
+    # series reader; a document of any other kind is refused by its kind,
+    # whatever its values.
     data = json.loads(render_json(next(d for d in _docs() if d.kind == kind)))
     target = data
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    with pytest.raises(ValueError):
+    refused = None if kind == "series" else f"unexpected document kind '{kind}'"
+    with pytest.raises(ValueError, match=refused):
         parse_json(json.dumps(data))

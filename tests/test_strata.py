@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnbetti.strata import HNType, enumerate_types, stratum_codim
+from hnbetti.strata import HNType, enumerate_types, stratum_codim, type_rows
 
 
 def brute_force_types(rank, degree, genus, max_codim):
@@ -262,6 +262,21 @@ def test_enumerated_types_are_valid_through_the_public_constructor():
                 for _, t in enumerate_types(rank, degree, genus, 20):
                     assert HNType(t.pieces) == t
                     assert all(type(x) is int for piece in t.pieces for x in piece)
+
+
+def test_enumerate_types_is_the_hntype_view_of_type_rows():
+    # Each flat row (codim, r1, d1, ..., rk, dk) of type_rows is the row
+    # (codim, HNType(((r1, d1), ..., (rk, dk)))) of enumerate_types, in order.
+    for genus in (1, 2, 3):
+        for rank in range(1, 8):
+            for degree in range(-3, 4):
+                for budget in (0, 5, 40):
+                    rows = type_rows(rank, degree, genus, budget)
+                    assert all(type(row) is tuple and len(row) % 2 == 1 for row in rows)
+                    assert all(type(x) is int for row in rows for x in row)
+                    view = [(row[0], HNType(tuple(zip(row[1::2], row[2::2])))) for row in rows]
+                    assert enumerate_types(rank, degree, genus, budget) == view, (
+                        genus, rank, degree, budget)
 
 
 def test_enumerate_twist_bijection():
