@@ -17,8 +17,12 @@ from typing import Optional
 class _Record:
     """Immutable record: its fields are the subclass's __slots__, in order.
 
-    A subclass's __init__ validates its arguments and passes the field values
-    to _fill; _trusted builds a record from values already known to be valid.
+    A subclass's constructor parameters are exactly its slots, in the same
+    order: __reduce__ rebuilds a record by calling its class with the slot
+    values, and _trusted takes the same values positionally.  A value derived
+    from the fields is a property, not a slot.  __init__ validates its
+    arguments and passes the field values to _fill; _trusted builds a record
+    from values already known to be valid.
     Records compare equal when their classes and field values are equal, and
     hash their field values.  Assigning or deleting a field raises
     AttributeError.

@@ -29,10 +29,11 @@ The cache is the --cache-dir directory and nothing else: run builds a
 hnrec.MemoStore only when the flag names one, and with no flag (or an empty
 one) nothing is read or written and --strict-cache has nothing to escalate.
 
-_execute builds one OutputDocument per command; every command but sympoly
-(genus, points) and divseries (genus, rank) carries (genus, rank, deg).
-polygons hands the flat rows of strata.type_rows to the document unchecked,
-as they are int tuples by construction.
+_execute builds one OutputDocument per command, whose kind the payload's
+class fixes; every command but sympoly (genus, points) and divseries (genus,
+rank) carries (genus, rank, deg).  polygons builds its document with
+OutputDocument._trusted(rows, genus, rank, deg, version), which skips the row
+check: the flat rows of strata.type_rows are int tuples by construction.
 Each command imports only the modules it runs, after its arguments parse, so
 --version, --help and a usage error load no layer of the library, and
 polygons loads strata and render but no polynomial arithmetic.
@@ -163,37 +164,32 @@ def _execute(args: argparse.Namespace, memo: Optional[MemoStore]) -> OutputDocum
         from .genfun import sym_product_poly
 
         poly = sym_product_poly(args.genus, args.points)
-        return OutputDocument("polynomial", poly, genus=args.genus, degree=args.points)
+        return OutputDocument(poly, genus=args.genus, degree=args.points)
     if args.command == "divseries":
         from .genfun import div_stable_series
 
         series = div_stable_series(args.genus, args.rank, args.truncate)
-        return OutputDocument("series", series, genus=args.genus, rank=args.rank)
+        return OutputDocument(series, genus=args.genus, rank=args.rank)
     if args.command == "divpoly":
         from .genfun import div_finite_poly
 
-        kind = "polynomial"
         payload = div_finite_poly(args.genus, args.rank, args.deg, args.twist)
     elif args.command == "polygons":
         from .strata import type_rows
 
-        # Int tuples by construction: OutputDocument's row check is for
-        # library input, and does not walk them again.
+        # Int tuples by construction: _trusted skips the row check, which is
+        # for library input.
         rows = tuple(type_rows(args.rank, args.deg, args.genus, args.max_codim))
-        return OutputDocument._trusted(
-            "type-list", rows, args.genus, args.rank, args.deg, __version__
-        )
+        return OutputDocument._trusted(rows, args.genus, args.rank, args.deg, __version__)
     elif args.command == "ssseries":
         from .hnrec import ss_series
 
-        kind = "series"
         payload = ss_series(args.genus, args.rank, args.deg, args.truncate, memo)
     else:
         from .hnrec import betti_poly
 
-        kind = "betti-report"
         payload = betti_poly(args.genus, args.rank, args.deg, memo=memo)
-    return OutputDocument(kind, payload, genus=args.genus, rank=args.rank, degree=args.deg)
+    return OutputDocument(payload, genus=args.genus, rank=args.rank, degree=args.deg)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

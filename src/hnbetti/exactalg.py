@@ -30,8 +30,8 @@ class InexactDivisionError(ValueError):
 def _ints(values: Iterable[int]) -> tuple[int, ...]:
     """The values as a tuple; any that is not an int (a bool included) is a ValueError.
 
-    For coefficient vectors and type pieces; a single argument goes through
-    _check_int, which also names it.
+    For coefficient vectors; a single argument goes through _check_int, which
+    also names it.
     """
     values = tuple(values)
     for value in values:

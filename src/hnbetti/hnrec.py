@@ -254,9 +254,7 @@ class MemoStore:
     ) -> None:
         from .render import OutputDocument, render_json
 
-        doc = OutputDocument(
-            kind="series", payload=series, genus=genus, rank=rank, degree=degree
-        )
+        doc = OutputDocument(series, genus=genus, rank=rank, degree=degree)
         name = self._file_name(genus, rank, degree)
         # A random name per writer; O_EXCL never opens another writer's file,
         # and mode 0o666 less the umask is what a plain open would give.

@@ -1,10 +1,11 @@
 """Output documents and their four byte-deterministic renderings.
 
-Every CLI result is wrapped in an OutputDocument of one of four kinds:
-``polynomial``, ``series``, ``type-list``, ``betti-report``.  Renderers map a
-document to text, JSON, LaTeX, or CSV.  JSON is the machine format: integer
-coefficients are emitted as decimal strings so that arbitrary-precision values
-survive any JSON reader, and the zero polynomial is the single string "0".
+Every CLI result is wrapped in an OutputDocument, whose kind its payload's
+class fixes: ``polynomial``, ``series``, ``type-list`` or ``betti-report``.
+Renderers map a document to text, JSON, LaTeX, or CSV.  JSON is the machine
+format: integer coefficients are emitted as decimal strings so that
+arbitrary-precision values survive any JSON reader, and the zero polynomial
+is the single string "0".
 The JSON object always carries the same keys, with null for fields that do
 not apply to the kind; type lists additionally carry a "types" key.
 
@@ -28,62 +29,47 @@ first use (_RowFormats), so a row costs one C-level format call.
 
 from __future__ import annotations
 
-from importlib import import_module
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from ._base import _Record, _check_int
 from ._version import __version__
 
-# Each kind's payload class, by its home module.  It is imported only when a
-# document of that kind is built, so that a document loads only the layer
-# that made its payload: a type list loads neither exactalg nor hnrec.
-_PAYLOAD_TYPES = {
-    "polynomial": (".exactalg", "ExactPolynomial"),
-    "series": (".exactalg", "TruncatedSeries"),
-    "type-list": ("builtins", "tuple"),
-    "betti-report": (".hnrec", "BettiReport"),
+# Each kind, by the class name of its payload.  The name, not the class, is
+# looked up, so that a document loads no layer: a type list loads neither
+# exactalg nor hnrec.
+_KINDS = {
+    "ExactPolynomial": "polynomial",
+    "TruncatedSeries": "series",
+    "tuple": "type-list",
+    "BettiReport": "betti-report",
 }
-
-
-def _are_type_rows(rows: tuple) -> bool:
-    """Whether every row is a tuple of ints (not bools) of odd length >= 3.
-
-    Three passes in C, over the rows, their lengths and their entries.
-    """
-    return (
-        set(map(type, rows)) <= {tuple}
-        and all(n % 2 and n > 1 for n in set(map(len, rows)))
-        and set(map(type, chain.from_iterable(rows))) <= {int}
-    )
 
 
 class OutputDocument(_Record):
     """One renderable result plus the request metadata it answers.
 
-    genus, rank and degree are ints or None, and version is a string.  A type
-    list needs its genus, on which its codimensions depend, and its rows are
-    tuples of ints (not bools) of odd length >= 3, (codim, r1, d1, ..., rk,
-    dk); the pieces are written as given, not checked to form a type.
+    The payload is an ExactPolynomial, a TruncatedSeries, a tuple of type-list
+    rows or a BettiReport, and its class fixes the document's kind; any other
+    payload is a ValueError.  genus, rank and degree are ints or None, and
+    version is a string.  A type list needs its genus, on which its
+    codimensions depend, and its rows are tuples of ints (not bools) of odd
+    length >= 3, (codim, r1, d1, ..., rk, dk); the pieces are written as
+    given, not checked to form a type.
     """
 
-    __slots__ = ("kind", "payload", "genus", "rank", "degree", "version")
+    __slots__ = ("payload", "genus", "rank", "degree", "version")
 
     def __init__(
         self,
-        kind: str,
         payload: object,
         genus: Optional[int] = None,
         rank: Optional[int] = None,
         degree: Optional[int] = None,
         version: str = __version__,
     ) -> None:
-        if kind not in _PAYLOAD_TYPES:
-            raise ValueError(f"unknown document kind {kind!r}")
-        home, class_name = _PAYLOAD_TYPES[kind]
-        payload_type = getattr(import_module(home, __package__), class_name)
-        if not isinstance(payload, payload_type):
-            raise ValueError(f"kind {kind!r} cannot carry a {type(payload).__name__}")
+        kind = _KINDS.get(type(payload).__name__)
+        if kind is None:
+            raise ValueError(f"no document kind carries a {type(payload).__name__}")
         if not isinstance(version, str):
             raise ValueError(f"version must be a string, got {version!r}")
         for name, value in (("genus", genus), ("rank", rank), ("degree", degree)):
@@ -92,12 +78,18 @@ class OutputDocument(_Record):
         if kind == "type-list":
             if genus is None:
                 raise ValueError("type lists need genus metadata for codimensions")
-            if not _are_type_rows(payload):
-                bad = next(row for row in payload if not _are_type_rows((row,)))
-                raise ValueError(
-                    f"type-list rows must be int tuples (codim, r1, d1, ..., rk, dk), got {bad!r}"
-                )
-        self._fill(kind, payload, genus, rank, degree, version)
+            for row in payload:
+                if not (type(row) is tuple and len(row) % 2 and len(row) > 1
+                        and all(type(entry) is int for entry in row)):
+                    raise ValueError(
+                        f"type-list rows must be int tuples (codim, r1, d1, ..., rk, dk), got {row!r}"
+                    )
+        self._fill(payload, genus, rank, degree, version)
+
+    @property
+    def kind(self) -> str:
+        """polynomial, series, type-list or betti-report, as the payload's class fixes it."""
+        return _KINDS[type(self.payload).__name__]
 
 
 def _term_string(coeffs: Sequence[int], braces: bool) -> str:
@@ -259,8 +251,7 @@ def parse_json(text: str) -> OutputDocument:
         # never writes: the comparison below refuses them.
         coeffs = tuple(int(c) for c in data["coefficients"])
         doc = OutputDocument(
-            kind="series",
-            payload=TruncatedSeries(coeffs, data["truncation"]),
+            TruncatedSeries(coeffs, data["truncation"]),
             genus=data["genus"],
             rank=data["rank"],
             degree=data["degree"],

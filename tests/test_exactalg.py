@@ -136,6 +136,8 @@ def test_divide_exact_rejects_remainder():
         ExactPolynomial((1, 1, 1)).divide_exact(ExactPolynomial((1, 1)))
     with pytest.raises(InexactDivisionError):
         ExactPolynomial((1, 1)).divide_exact(ExactPolynomial((2,)))
+    with pytest.raises(InexactDivisionError, match="degree 1 numerator .* degree 2 divisor"):
+        ExactPolynomial((1, 1)).divide_exact(ExactPolynomial((1, 2, 1)))
     with pytest.raises(ZeroDivisionError):
         ExactPolynomial((1, 1)).divide_exact(ExactPolynomial.zero())
 
@@ -184,6 +186,9 @@ def test_series_truncate_and_shift():
     shifted = s.times_t_power(2)
     assert shifted.truncation_order == 5
     assert shifted.coefficients == (0, 0, 1, 2, 3, 4)
+    assert s.coefficient(3) == 4
+    with pytest.raises(ValueError, match="coefficient 4 is outside the known range 0..3"):
+        s.coefficient(4)
 
 
 def test_series_products_truncate_to_min_order():
@@ -223,6 +228,12 @@ def test_series_addition_mixed_orders():
     b = TruncatedSeries((1, 0, 0, 7), 3)
     assert (a + b).coefficients == (2, 1, 1)
     assert (a - b).coefficients == (0, 1, 1)
+    # + and - take two series or two polynomials, never a bare int or a mix.
+    p = ExactPolynomial((1, 2))
+    for mixed in (lambda: p + 1, lambda: p - 1, lambda: 1 + p, lambda: p + a,
+                  lambda: a + 1, lambda: a - p, lambda: p - a, lambda: a + p):
+        with pytest.raises(TypeError):
+            mixed()
 
 
 def _schoolbook(a, b, order):

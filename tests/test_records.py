@@ -34,8 +34,8 @@ RECORDS = {
     TruncatedSeries: {"coefficients": (1, 4, 8), "truncation_order": 2},
     HNType: {"pieces": ((1, 1), (1, 0))},
     BettiReport: REPORT,
-    OutputDocument: {"kind": "betti-report", "payload": BettiReport(**REPORT), "genus": 1,
-                     "rank": 2, "degree": 1, "version": __version__},
+    OutputDocument: {"payload": BettiReport(**REPORT), "genus": 1, "rank": 2, "degree": 1,
+                     "version": __version__},
 }
 
 
@@ -67,7 +67,7 @@ def test_record_semantics(cls):
 
 
 def test_record_defaults():
-    doc = OutputDocument("polynomial", ExactPolynomial((1,)))
+    doc = OutputDocument(ExactPolynomial((1,)))
     assert (doc.genus, doc.rank, doc.degree, doc.version) == (None, None, None, __version__)
 
 
@@ -77,7 +77,7 @@ def test_unequal_records():
 
 
 def test_unknown_check_name_in_a_cache_file_is_a_miss(tmp_path):
-    doc = OutputDocument("betti-report", BettiReport(**REPORT), genus=2, rank=2, degree=1)
+    doc = OutputDocument(BettiReport(**REPORT), genus=2, rank=2, degree=1)
     data = json.loads(render_json(doc))
     data["checks"]["extra"] = True
     (tmp_path / "ss_g2_r2_n1.json").write_text(json.dumps(data), encoding="utf-8")

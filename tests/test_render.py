@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -26,17 +27,13 @@ BETTI_2_2_1 = BettiReport(
 
 def _docs():
     return [
-        OutputDocument("polynomial", ExactPolynomial((1, 4, 1)), genus=2, degree=1),
-        OutputDocument("polynomial", ExactPolynomial.zero(), genus=2, degree=0),
-        OutputDocument(
-            "series", TruncatedSeries((1, 4, 8, 16), 3), genus=2, rank=2, degree=1
-        ),
-        OutputDocument(
-            "type-list", ((2, 1, 1, 1, 0), (4, 1, 2, 1, -1)), genus=2, rank=2, degree=1
-        ),
-        OutputDocument("type-list", (), genus=2, rank=1, degree=0),
-        OutputDocument("betti-report", BETTI_2_2_1, genus=2, rank=2, degree=1),
-        OutputDocument("series", TruncatedSeries((0, 0, 0, 0), 3), genus=1, rank=2),
+        OutputDocument(ExactPolynomial((1, 4, 1)), genus=2, degree=1),
+        OutputDocument(ExactPolynomial.zero(), genus=2, degree=0),
+        OutputDocument(TruncatedSeries((1, 4, 8, 16), 3), genus=2, rank=2, degree=1),
+        OutputDocument(((2, 1, 1, 1, 0), (4, 1, 2, 1, -1)), genus=2, rank=2, degree=1),
+        OutputDocument((), genus=2, rank=1, degree=0),
+        OutputDocument(BETTI_2_2_1, genus=2, rank=2, degree=1),
+        OutputDocument(TruncatedSeries((0, 0, 0, 0), 3), genus=1, rank=2),
     ]
 
 
@@ -106,22 +103,42 @@ def test_every_kind_in_every_format(fmt):
 
 
 def test_document_validation():
-    with pytest.raises(ValueError):
-        OutputDocument("poem", ExactPolynomial((1,)))
-    with pytest.raises(ValueError):
-        OutputDocument("polynomial", TruncatedSeries((1,), 0))
-    with pytest.raises(ValueError):
-        OutputDocument("type-list", ((2, 1, 1, 1, 0),))  # no genus
+    # The payload's class fixes the kind; no other class is carried.
+    for payload, name in (([(2, 1, 1, 1, 0)], "list"), ({}, "dict"), ("poem", "str"),
+                          (HNType(((1, 0),)), "HNType")):
+        with pytest.raises(ValueError, match=f"^no document kind carries a {name}$"):
+            OutputDocument(payload, genus=2)
+    with pytest.raises(ValueError, match="type lists need genus metadata"):
+        OutputDocument(((2, 1, 1, 1, 0),))
     # Rows are flat int tuples (codim, r1, d1, ..., rk, dk), and the metadata
-    # is ints or None.
-    for rows in (((2.0, 1, 1, 1, 0),), ((2, 1, 1, 1, True),), ((2, 1, 1, "1", 0),),
-                 ((2, 1, 1, 1, 0), (4, 1, 2, 1, -1, 0)), ((2,),), ([2, 1, 1, 1, 0],),
-                 ((0, HNType(((1, 0),))),)):
-        with pytest.raises(ValueError, match="type-list rows must be int tuples"):
-            OutputDocument("type-list", rows, genus=2)
+    # is ints or None.  The message names the first bad row.
+    good = (2, 1, 1, 1, 0)
+    for bad, after in (((2.0, 1, 1, 1, 0), ()), ((2, 1, 1, 1, True), ()),
+                       ((2, 1, 1, "1", 0), ()), ((4, 1, 2, 1, -1, 0), ()), ((2,), ()),
+                       ([2, 1, 1, 1, 0], ()), ((0, HNType(((1, 0),))), ()),
+                       ((4, 1), ((2, 1.0, 1),))):
+        with pytest.raises(ValueError, match="^type-list rows must be int tuples "
+                           rf"\(codim, r1, d1, \.\.\., rk, dk\), got {re.escape(repr(bad))}$"):
+            OutputDocument((good, bad, *after), genus=2)
     for metadata in ({"genus": "two"}, {"genus": 2.0}, {"rank": 2.5}, {"degree": True}):
         with pytest.raises(ValueError, match="expected an integer"):
-            OutputDocument("polynomial", ExactPolynomial((1,)), **metadata)
+            OutputDocument(ExactPolynomial((1,)), **metadata)
+    for version in (1, None, b"0.1.0"):
+        with pytest.raises(ValueError, match="version must be a string"):
+            OutputDocument(ExactPolynomial((1,)), version=version)
+
+
+def test_kind_follows_the_payload():
+    # kind is derived, read-only and no field: a document's fields are its
+    # constructor's parameters.
+    assert [doc.kind for doc in _docs()] == [
+        "polynomial", "polynomial", "series", "type-list", "type-list", "betti-report",
+        "series",
+    ]
+    doc = _docs()[0]
+    with pytest.raises(AttributeError):
+        doc.kind = "series"
+    assert "kind" not in OutputDocument.__slots__
 
 
 def test_json_roundtrip_every_kind():
@@ -135,7 +152,7 @@ def test_json_roundtrip_every_kind():
 
 
 def test_json_schema_keys_and_string_coefficients():
-    doc = OutputDocument("betti-report", BETTI_2_2_1, genus=2, rank=2, degree=1)
+    doc = OutputDocument(BETTI_2_2_1, genus=2, rank=2, degree=1)
     data = json.loads(render_json(doc))
     assert list(data) == [
         "kind",
@@ -160,7 +177,7 @@ def test_json_schema_keys_and_string_coefficients():
         ("nonnegative", True),
     ]
 
-    poly_doc = OutputDocument("polynomial", ExactPolynomial((1, 4, 1)), genus=2)
+    poly_doc = OutputDocument(ExactPolynomial((1, 4, 1)), genus=2)
     data = json.loads(render_json(poly_doc))
     assert data["truncation"] is None
     assert data["dimension"] is None
@@ -168,52 +185,44 @@ def test_json_schema_keys_and_string_coefficients():
 
 
 def test_json_zero_polynomial_convention():
-    data = json.loads(render_json(OutputDocument("polynomial", ExactPolynomial.zero())))
+    data = json.loads(render_json(OutputDocument(ExactPolynomial.zero())))
     assert data["coefficients"] == ["0"]
 
 
 def test_json_huge_coefficients_survive():
     # The genus-50 Jacobian: (1 + t)^100, middle coefficient 30 digits long.
     report = betti_poly(50, 1, 0)
-    doc = OutputDocument("betti-report", report, genus=50, rank=1, degree=0)
+    doc = OutputDocument(report, genus=50, rank=1, degree=0)
     data = json.loads(render_json(doc))
     middle = data["coefficients"][50]
     assert middle == str(math.comb(100, 50))
     assert len(middle) == 30
-    series = OutputDocument("series", TruncatedSeries(report.polynomial.coefficients, 100),
+    series = OutputDocument(TruncatedSeries(report.polynomial.coefficients, 100),
                             genus=50, rank=1, degree=0)
     assert parse_json(render_json(series)) == series
 
 
 def test_text_rendering():
     doc = OutputDocument(
-        "betti-report",
-        BettiReport(ExactPolynomial((1, 4, 6, 4, 1)), 2),
-        genus=2,
-        rank=1,
-        degree=0,
+        BettiReport(ExactPolynomial((1, 4, 6, 4, 1)), 2), genus=2, rank=1, degree=0
     )
     assert render_text(doc) == "1 + 4t + 6t^2 + 4t^3 + t^4  (dim 2, checks: all pass)"
 
-    poly_doc = OutputDocument("polynomial", ExactPolynomial((1, 4, 1)), genus=2, degree=1)
+    poly_doc = OutputDocument(ExactPolynomial((1, 4, 1)), genus=2, degree=1)
     assert render_text(poly_doc) == "1 + 4t + t^2  (genus 2, deg 1)"
 
-    series_doc = OutputDocument(
-        "series", TruncatedSeries((1, 4, 8, 16), 3), genus=2, rank=2
-    )
+    series_doc = OutputDocument(TruncatedSeries((1, 4, 8, 16), 3), genus=2, rank=2)
     assert render_text(series_doc) == "1 + 4t + 8t^2 + 16t^3 + O(t^4)  (genus 2, rank 2)"
 
 
 def test_text_negative_and_zero_terms():
-    doc = OutputDocument("polynomial", ExactPolynomial((-1, 0, 2, -3)))
+    doc = OutputDocument(ExactPolynomial((-1, 0, 2, -3)))
     assert render_text(doc) == "-1 + 2t^2 - 3t^3"
-    assert render_text(OutputDocument("polynomial", ExactPolynomial.zero())) == "0"
+    assert render_text(OutputDocument(ExactPolynomial.zero())) == "0"
 
 
 def test_type_list_text():
-    doc = OutputDocument(
-        "type-list", ((2, 1, 1, 1, 0), (4, 1, 2, 1, -1)), genus=2, rank=2, degree=1
-    )
+    doc = OutputDocument(((2, 1, 1, 1, 0), (4, 1, 2, 1, -1)), genus=2, rank=2, degree=1)
     assert render_text(doc) == (
         "codim 2: (1;1)(1;0)\n"
         "codim 4: (1;2)(1;-1)\n"
@@ -222,26 +231,22 @@ def test_type_list_text():
 
 
 def test_latex_rendering():
-    assert render_latex(OutputDocument("polynomial", ExactPolynomial((1, 0, 1)))) == "1 + t^{2}"
+    assert render_latex(OutputDocument(ExactPolynomial((1, 0, 1)))) == "1 + t^{2}"
     assert render_latex(
-        OutputDocument("series", TruncatedSeries((1, 4), 1), genus=2, rank=1)
+        OutputDocument(TruncatedSeries((1, 4), 1), genus=2, rank=1)
     ) == "1 + 4t + O(t^{2})"
-    doc = OutputDocument("type-list", ((2, 1, 1, 1, 0),), genus=2)
+    doc = OutputDocument(((2, 1, 1, 1, 0),), genus=2)
     assert render_latex(doc) == "\\left[(1;1)(1;0)\\right]_{2}"
-    assert render_latex(OutputDocument("type-list", (), genus=2)) == "\\varnothing"
+    assert render_latex(OutputDocument((), genus=2)) == "\\varnothing"
 
 
 def test_csv_rendering():
-    assert render_csv(OutputDocument("polynomial", ExactPolynomial((1, 4, 1)))) == (
-        "0,1\n1,4\n2,1"
-    )
-    assert render_csv(OutputDocument("polynomial", ExactPolynomial.zero())) == "0,0"
+    assert render_csv(OutputDocument(ExactPolynomial((1, 4, 1)))) == "0,1\n1,4\n2,1"
+    assert render_csv(OutputDocument(ExactPolynomial.zero())) == "0,0"
     assert render_csv(
-        OutputDocument("series", TruncatedSeries((1, 0, 0, 16), 3), genus=2)
+        OutputDocument(TruncatedSeries((1, 0, 0, 16), 3), genus=2)
     ) == "0,1\n1,0\n2,0\n3,16"
-    doc = OutputDocument(
-        "type-list", ((2, 1, 1, 1, 0), (4, 1, 2, 1, -1)), genus=2, rank=2, degree=1
-    )
+    doc = OutputDocument(((2, 1, 1, 1, 0), (4, 1, 2, 1, -1)), genus=2, rank=2, degree=1)
     assert render_csv(doc) == "2,(1;1)(1;0)\n4,(1;2)(1;-1)"
 
 
@@ -281,8 +286,7 @@ def test_flat_rows_render_as_the_per_piece_renderers_did():
             for degree in range(-3, 4):
                 for budget in (0, 5, 40):
                     rows = tuple(type_rows(rank, degree, genus, budget))
-                    doc = OutputDocument("type-list", rows, genus=genus, rank=rank,
-                                         degree=degree)
+                    doc = OutputDocument(rows, genus=genus, rank=rank, degree=degree)
                     typed = enumerate_types(rank, degree, genus, budget)
                     for fmt in ("text", "latex", "csv", "json"):
                         assert render(doc, fmt) == _per_piece_render(
@@ -291,7 +295,7 @@ def test_flat_rows_render_as_the_per_piece_renderers_did():
 
 
 def test_render_dispatch():
-    doc = OutputDocument("polynomial", ExactPolynomial((1,)))
+    doc = OutputDocument(ExactPolynomial((1,)))
     assert render(doc, "json") == render_json(doc)
     with pytest.raises(ValueError):
         render(doc, "html")
