@@ -42,7 +42,7 @@ _HOMES = {
         "render_latex",
         "render_text",
     ),
-    "strata": ("HNType", "enumerate_types", "stratum_codim", "type_rows"),
+    "strata": ("stratum_codim", "type_rows"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -12,6 +12,9 @@ and each stratum series is the product of the semistable series of its pieces:
 Here codim_P = sum over pairs i < j of (r'_j d'_i - r'_i d'_j) + r'_i r'_j (g - 1),
 pieces in slope order (strata module), and P(Div) does not depend on the
 degree.  Write P_Div(r) = P(Div^(r)) and P_ss(r, d) = P(Div^(r, d)^ss).
+stratum_series computes P(S_P; t) for a type P given, as everywhere in the
+package, by its flat tuple (r'_1, d'_1, ..., r'_l, d'_l), the tail of a
+strata.type_rows row; ss_series itself never enumerates types.
 
 Inversion (D. Zagier, "Elementary aspects of the Verlinde formula and of the
 Harder-Narasimhan-Atiyah-Bott formula", 1996; G. Laumon and M. Rapoport,
@@ -125,14 +128,11 @@ import contextlib
 import math
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from ._base import _Record, _check_int
 from .exactalg import ExactPolynomial, TruncatedSeries
 from .genfun import div_stable_ranks
-
-if TYPE_CHECKING:
-    from .strata import HNType
 
 # Every Betti polynomial is computed to order 2*dim + TRUNCATION_SLACK, so
 # tail_vanishes always checks this many coefficients past t^(2*dim).
@@ -343,21 +343,22 @@ def _composition_sum(genus: int, rank: int, degree: int, order: int) -> Truncate
 
 
 def stratum_series(
-    genus: int,
-    hn_type: HNType,
-    order: int,
-    memo: Optional[MemoStore] = None,
+    genus: int, pieces: tuple[int, ...], order: int, memo: Optional[MemoStore] = None
 ) -> TruncatedSeries:
     """Poincare series of one stratum: the product over its pieces' semistable series.
 
-    ss_series does not call this.  Summed over strata.enumerate_types, it is
+    pieces is the type's flat tuple (r1, d1, ..., rk, dk), the tail row[1:] of
+    a strata.type_rows row, and is checked as stratum_codim checks it.
+    ss_series does not call this.  Summed over the rows of type_rows, it is
     the Harder-Narasimhan recursion type by type, the reference that the
     composition sum of ss_series is tested against, an identity independent
     of the inversion that ss_series computes.  memo is passed on to
     ss_series for each piece.
     """
+    from .strata import _pairs  # deferred: betti and ssseries never load strata
+
     out = TruncatedSeries.one(order)
-    for piece_rank, piece_degree in hn_type.pieces:
+    for piece_rank, piece_degree in _pairs(pieces):
         out = out * ss_series(genus, piece_rank, piece_degree, order, memo)
     return out
 
@@ -407,7 +408,8 @@ def betti_poly(
             "Betti polynomial failed structural checks: " + ", ".join(failed),
             diagnostic,
         )
-    return BettiReport(poly, dim)
+    # Every check has just passed: the constructor would run them again.
+    return BettiReport._trusted(poly, dim)
 
 
 def rank2_oracle(genus: int, degree: int, order: int) -> TruncatedSeries:

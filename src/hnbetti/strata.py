@@ -30,8 +30,9 @@ followed by each type of the rest with top slope below d1/r1 and
 codimension <= C - c1.  type_rows walks this recursion depth first,
 passing down the pieces chosen so far and their codimension, and writes each
 type as one flat row of ints (codim, r'_1, d'_1, ..., r'_l, d'_l): no pair
-and no HNType is built.  enumerate_types is the same list as (codim, HNType)
-rows.
+is built.  A row's tail, the flat tuple (r'_1, d'_1, ..., r'_l, d'_l), is how
+the package holds a type everywhere: stratum_codim and hnrec.stratum_series
+take it, and check it first (_pairs).
 
 Range of the first pieces (genus >= 1).  The top slope of a proper type
 exceeds its average slope, so d1/r1 > D/R, and r1 < R.  Then R d1 - r1 D >= 1
@@ -65,51 +66,44 @@ lexicographic order of pieces.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
 
-from ._base import _Record, _check_int
+from ._base import _check_int
 
 
-class HNType(_Record):
-    """A Harder-Narasimhan type: pieces (rank, degree) with strictly dropping slopes.
+def _pairs(pieces: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (rank, degree) pairs of a type's flat tuple (r1, d1, ..., rk, dk), checked.
 
-    _trusted takes a tuple of int pairs already known to form a valid type.
+    pieces must be a nonempty tuple of even length whose entries are ints (a
+    bool is not one), with every rank >= 1 and slopes d / r that strictly
+    decrease, or a ValueError says what is wrong.
     """
-
-    __slots__ = ("pieces",)
-
-    def __init__(self, pieces: Iterable) -> None:
-        checked: list[tuple[int, int]] = []
-        for i, piece in enumerate(pieces):
-            try:
-                r, d = piece
-            except (TypeError, ValueError):
-                raise ValueError(f"piece {i} must be a pair of ints, got {piece!r}") from None
-            if type(r) is not int or type(d) is not int:
-                raise ValueError(
-                    f"piece {i} must be a pair of ints: expected an integer, got {piece!r}"
-                )
-            if r < 1:
-                raise ValueError(f"piece {i} has nonpositive rank {r}")
-            # The previous piece's slope exceeds d / r, by cross-multiplication.
-            if checked and checked[-1][1] * r <= d * checked[-1][0]:
-                raise ValueError(f"slopes must strictly decrease: violated at piece {i}")
-            checked.append((r, d))
-        if not checked:
-            raise ValueError("a type needs at least one piece")
-        self._fill(tuple(checked))
+    if type(pieces) is not tuple or not pieces or len(pieces) % 2:
+        raise ValueError(f"a type is a nonempty tuple (r1, d1, ..., rk, dk), got {pieces!r}")
+    pairs = list(zip(pieces[::2], pieces[1::2]))
+    for i, (r, d) in enumerate(pairs):
+        if type(r) is not int or type(d) is not int:
+            raise ValueError(
+                f"piece {i} must be a pair of ints: expected an integer, got {(r, d)!r}"
+            )
+        if r < 1:
+            raise ValueError(f"piece {i} has nonpositive rank {r}")
+        # The previous piece's slope exceeds d / r, by cross-multiplication.
+        if i and pairs[i - 1][1] * r <= d * pairs[i - 1][0]:
+            raise ValueError(f"slopes must strictly decrease: violated at piece {i}")
+    return pairs
 
 
-def stratum_codim(hn_type: HNType, genus: int) -> int:
-    """Codimension of the stratum with the given type, over a genus-g curve.
+def stratum_codim(pieces: tuple[int, ...], genus: int) -> int:
+    """Codimension of the stratum of type pieces = (r1, d1, ..., rk, dk), over a genus-g curve.
 
-    The pairs of piece (r, d) with the earlier pieces add up to
+    pieces is the tail row[1:] of a type_rows row, checked by _pairs.  The
+    pairs of piece (r, d) with the earlier pieces add up to
     r D - d R + (g - 1) r R, with (R, D) the sum of the earlier pieces, so one
     pass over running sums gives the sum over pairs.
     """
     _check_int("genus", genus, 1)
     total = rank_sum = degree_sum = 0
-    for r, d in hn_type.pieces:
+    for r, d in _pairs(pieces):
         total += r * degree_sum - d * rank_sum + (genus - 1) * r * rank_sum
         rank_sum += r
         degree_sum += d
@@ -120,7 +114,7 @@ def type_rows(rank: int, degree: int, genus: int, max_codim: int) -> list[tuple[
     """All proper types of the given rank and degree with codimension <= max_codim.
 
     Each type comes as one flat row of ints (codim, r1, d1, ..., rk, dk): its
-    codimension, the one stratum_codim gives, then the rank and degree of each
+    codimension, stratum_codim(row[1:], genus), then the rank and degree of each
     piece.  Proper means at least two pieces (the semistable stratum itself is
     not listed).  Rows are sorted by (codimension, pieces), so the list for a
     smaller budget is a prefix of the list for a larger one; the walk emits
@@ -171,13 +165,3 @@ def type_rows(rank: int, degree: int, genus: int, max_codim: int) -> list[tuple[
     for codim in sorted(buckets)[1:]:
         rows += buckets[codim]
     return rows
-
-
-def enumerate_types(
-    rank: int, degree: int, genus: int, max_codim: int
-) -> list[tuple[int, HNType]]:
-    """The rows of type_rows as (codimension, HNType) pairs, in the same order."""
-    return [
-        (row[0], HNType._trusted(tuple(zip(row[1::2], row[2::2]))))
-        for row in type_rows(rank, degree, genus, max_codim)
-    ]

@@ -21,7 +21,7 @@ from hnbetti.hnrec import (
     ss_series,
     stratum_series,
 )
-from hnbetti.strata import enumerate_types, stratum_codim
+from hnbetti.strata import stratum_codim, type_rows
 
 from test_strata import brute_force_types
 
@@ -115,10 +115,10 @@ def test_criterion_5_stratification_additivity():
     for genus, rank, degree in ((2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1)):
         order = 2 * dim_moduli(genus, rank) + 10
         total = ss_series(genus, rank, degree, order)
-        for codim, hn_type in enumerate_types(rank, degree, genus, order // 2):
-            shift = 2 * stratum_codim(hn_type, genus)
-            assert shift == 2 * codim
-            piece = stratum_series(genus, hn_type, order - shift)
+        for row in type_rows(rank, degree, genus, order // 2):
+            shift = 2 * stratum_codim(row[1:], genus)
+            assert shift == 2 * row[0]
+            piece = stratum_series(genus, row[1:], order - shift)
             total = total + piece.times_t_power(shift)
         closed = div_stable_series(genus, rank, order)
         assert total.coefficients == closed.coefficients
@@ -133,9 +133,7 @@ def test_criterion_6_enumeration_completeness():
     for rank in (1, 2, 3):
         for degree in range(-3, 4):
             for budget in range(13):
-                got = {
-                    t.pieces for _, t in enumerate_types(rank, degree, 2, budget)
-                }
+                got = {row[1:] for row in type_rows(rank, degree, 2, budget)}
                 assert got == brute_force_types(rank, degree, 2, budget)
                 checked += 1
     elapsed = time.monotonic() - start

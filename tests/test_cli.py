@@ -768,7 +768,6 @@ _HOMES = {
     "__version__": "_version",
     "BettiReport": "hnrec",
     "ExactPolynomial": "exactalg",
-    "HNType": "strata",
     "InexactDivisionError": "exactalg",
     "MemoStore": "hnrec",
     "OutputDocument": "render",
@@ -779,7 +778,6 @@ _HOMES = {
     "dim_moduli": "hnrec",
     "div_finite_poly": "genfun",
     "div_stable_series": "genfun",
-    "enumerate_types": "strata",
     "parse_json": "render",
     "rank2_oracle": "hnrec",
     "render_csv": "render",
@@ -795,8 +793,9 @@ _HOMES = {
 }
 
 # Imports one module first, then prints every name of hnbetti.__all__ that is
-# not the object its home module holds, and where hnbetti.render is not the
-# render module.
+# not the object its home module holds, where hnbetti.render is not the
+# render module, and each name with no home that does not raise
+# AttributeError: HNType and enumerate_types, which flat type rows replaced.
 _NAMES_AFTER_IMPORT = """
 import importlib, json, sys
 importlib.import_module(sys.argv[1])
@@ -814,6 +813,7 @@ for way, value in [("first", render_first), ("last", hnbetti.render), ("as", ren
                    ("star", render)]:
     if value is not render_module:
         wrong.append("render " + way)
+wrong += [name for name in ("HNType", "enumerate_types") if hasattr(hnbetti, name)]
 print(json.dumps(wrong))
 """
 

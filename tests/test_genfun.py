@@ -13,7 +13,7 @@ from hnbetti.genfun import (
     sym_product_poly,
 )
 from hnbetti.hnrec import dim_moduli, rank2_oracle, ss_series
-from hnbetti.strata import HNType, enumerate_types, stratum_codim
+from hnbetti.strata import stratum_codim, type_rows
 
 
 def _bivariate_sym_coefficients(genus, max_power):
@@ -232,8 +232,8 @@ GENUS_CHECKED = {
     "div_finite_poly": (0, lambda g: div_finite_poly(g, 2, 1, 1)),
     "div_stable_series": (0, lambda g: div_stable_series(g, 2, 4)),
     "residue_series": (0, lambda g: residue_series(g, 2, 4)),
-    "stratum_codim": (1, lambda g: stratum_codim(HNType(((1, 1), (1, 0))), g)),
-    "enumerate_types": (1, lambda g: enumerate_types(2, 1, g, 4)),
+    "stratum_codim": (1, lambda g: stratum_codim((1, 1, 1, 0), g)),
+    "type_rows": (1, lambda g: type_rows(2, 1, g, 4)),
     "ss_series": (1, lambda g: ss_series(g, 2, 1, 10)),
     "dim_moduli": (1, lambda g: dim_moduli(g, 2)),
     "rank2_oracle": (1, lambda g: rank2_oracle(g, 1, 10)),

@@ -18,7 +18,7 @@ from hnbetti.hnrec import (
     ss_series,
     stratum_series,
 )
-from hnbetti.strata import HNType, enumerate_types, stratum_codim
+from hnbetti.strata import stratum_codim, type_rows
 
 ONE_MINUS_T2 = ExactPolynomial.from_terms({0: 1, 2: -1})
 
@@ -71,9 +71,9 @@ def test_ss_series_agrees_with_divisor_series_below_first_stratum():
         order = 14
         ss = ss_series(genus, rank, degree, order)
         div = div_stable_series(genus, rank, order)
-        types = enumerate_types(rank, degree, genus, order)
-        assert all(stratum_codim(t, genus) == codim for codim, t in types)
-        first = min(2 * stratum_codim(t, genus) for _, t in types)
+        rows = type_rows(rank, degree, genus, order)
+        assert all(stratum_codim(row[1:], genus) == row[0] for row in rows)
+        first = min(2 * stratum_codim(row[1:], genus) for row in rows)
         assert ss.coefficients[:first] == div.coefficients[:first]
         assert ss.coefficients[first] != div.coefficients[first]
 
@@ -159,8 +159,8 @@ def test_ss_series_duality():
 
 
 def test_stratum_series_examples():
-    assert stratum_series(2, HNType(((1, 1), (1, 0))), 2).coefficients == (1, 8, 30)
-    assert stratum_series(2, HNType(((2, 1),)), 1).coefficients == (1, 4)
+    assert stratum_series(2, (1, 1, 1, 0), 2).coefficients == (1, 8, 30)
+    assert stratum_series(2, (2, 1), 1).coefficients == (1, 4)
 
 
 def test_betti_examples(tmp_path):
@@ -186,6 +186,23 @@ def test_betti_examples(tmp_path):
     order = 2 * report.moduli_dimension + hnrec.TRUNCATION_SLACK
     assert memo.lookup(2, 2, 1, order) is not None
     assert memo.lookup(2, 2, 1, order + 1) is None
+
+
+def test_betti_checks_its_answer_once(monkeypatch):
+    # betti_poly runs the structural checks and then builds its report
+    # without running them again.
+    calls = []
+    checks = hnrec._failed_checks
+
+    def counted(*args):
+        calls.append(args)
+        return checks(*args)
+
+    monkeypatch.setattr(hnrec, "_failed_checks", counted)
+    report = betti_poly(2, 2, 1)
+    assert len(calls) == 1
+    assert report == hnrec.BettiReport(report.polynomial, report.moduli_dimension)
+    assert len(calls) == 2  # a report built by a caller is still checked
 
 
 def test_betti_rejects_common_factor():
@@ -312,7 +329,7 @@ def test_strata_recursion_matches_type_enumeration(tmp_path):
     # composition sum must be the sum over enumerated types, each stratum a
     # product of semistable series.  One memo store serves all degrees, so
     # twist-shifted keys get exercised.  The types come from
-    # strata.enumerate_types, which test_enumerate_matches_brute_force checks.
+    # strata.type_rows, which test_enumerate_matches_brute_force checks.
     for genus in (1, 2, 3):
         memo = MemoStore(tmp_path)
         for rank in range(1, 6):
@@ -322,10 +339,10 @@ def test_strata_recursion_matches_type_enumeration(tmp_path):
                         genus, rank, degree, order, memo
                     )
                     want = TruncatedSeries((0,) * (order + 1), order)
-                    for codim, hn_type in enumerate_types(rank, degree, genus, order // 2):
-                        shift = 2 * stratum_codim(hn_type, genus)
-                        assert shift == 2 * codim
-                        piece = stratum_series(genus, hn_type, order - shift, memo)
+                    for row in type_rows(rank, degree, genus, order // 2):
+                        shift = 2 * stratum_codim(row[1:], genus)
+                        assert shift == 2 * row[0]
+                        piece = stratum_series(genus, row[1:], order - shift, memo)
                         want = want + piece.times_t_power(shift)
                     assert got.coefficients == want.coefficients, (genus, rank, degree, order)
         assert not memo.warnings

@@ -24,7 +24,7 @@ from hnbetti.hnrec import (
     ss_series,
 )
 from hnbetti.render import OutputDocument, render_json
-from hnbetti.strata import HNType
+from hnbetti.strata import stratum_codim
 
 REPORT = {"polynomial": ExactPolynomial((1, 2, 1)), "moduli_dimension": 1}
 
@@ -32,7 +32,6 @@ REPORT = {"polynomial": ExactPolynomial((1, 2, 1)), "moduli_dimension": 1}
 RECORDS = {
     ExactPolynomial: {"coefficients": (1, 0, 2)},
     TruncatedSeries: {"coefficients": (1, 4, 8), "truncation_order": 2},
-    HNType: {"pieces": ((1, 1), (1, 0))},
     BettiReport: REPORT,
     OutputDocument: {"payload": BettiReport(**REPORT), "genus": 1, "rank": 2, "degree": 1,
                      "version": __version__},
@@ -72,7 +71,7 @@ def test_record_defaults():
 
 
 def test_unequal_records():
-    assert HNType(((1, 1), (1, 0))) != HNType(((1, 2), (1, -1)))
+    assert TruncatedSeries((1, 4), 1) != TruncatedSeries((1, 4, 0), 2)
     assert BettiReport(**REPORT) != BettiReport(ExactPolynomial((1, 4, 6, 4, 1)), 2)
 
 
@@ -112,7 +111,7 @@ def test_betti_report_fields_must_agree(field, value, match):
 @pytest.mark.parametrize(
     "build, args",
     [
-        (HNType, ([(1.9, 2.7), (1, 0)],)),
+        (stratum_codim, ((1.9, 2.7, 1, 0), 2)),
         (ExactPolynomial, ((1.5, 2.9),)),
         (ExactPolynomial, ((1, True),)),
         (TruncatedSeries, (("3", 2.2), 1)),
@@ -140,7 +139,7 @@ def test_betti_report_fields_must_agree(field, value, match):
         (TruncatedSeries((1, 2, 3, 4), 3).times_t_power, (1.0,)),
         (ExactPolynomial((1, 2, 3)).coefficient, (1.0,)),
     ],
-    ids=["HNType", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries",
+    ids=["stratum_codim", "ExactPolynomial", "ExactPolynomial-bool", "TruncatedSeries",
          "TruncatedSeries-order", "ss_series-rank", "ss_series-degree", "ss_series-order",
          "ss_series-bool", "betti_poly-rank", "betti_poly-degree", "betti_poly-bool",
          "dim_moduli-rank", "dim_moduli-bool",

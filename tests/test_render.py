@@ -7,7 +7,7 @@ import re
 import pytest
 
 from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
-from hnbetti.hnrec import BettiReport, betti_poly
+from hnbetti.hnrec import BettiReport, MemoStore, betti_poly
 from hnbetti.render import (
     OutputDocument,
     parse_json,
@@ -17,7 +17,7 @@ from hnbetti.render import (
     render_latex,
     render_text,
 )
-from hnbetti.strata import HNType, enumerate_types, type_rows
+from hnbetti.strata import type_rows
 
 BETTI_2_2_1 = BettiReport(
     polynomial=ExactPolynomial((1, 4, 7, 12, 24, 32, 24, 12, 7, 4, 1)),
@@ -105,7 +105,7 @@ def test_every_kind_in_every_format(fmt):
 def test_document_validation():
     # The payload's class fixes the kind; no other class is carried.
     for payload, name in (([(2, 1, 1, 1, 0)], "list"), ({}, "dict"), ("poem", "str"),
-                          (HNType(((1, 0),)), "HNType")):
+                          (MemoStore("cache"), "MemoStore")):
         with pytest.raises(ValueError, match=f"^no document kind carries a {name}$"):
             OutputDocument(payload, genus=2)
     with pytest.raises(ValueError, match="type lists need genus metadata"):
@@ -115,7 +115,7 @@ def test_document_validation():
     good = (2, 1, 1, 1, 0)
     for bad, after in (((2.0, 1, 1, 1, 0), ()), ((2, 1, 1, 1, True), ()),
                        ((2, 1, 1, "1", 0), ()), ((4, 1, 2, 1, -1, 0), ()), ((2,), ()),
-                       ([2, 1, 1, 1, 0], ()), ((0, HNType(((1, 0),))), ()),
+                       ([2, 1, 1, 1, 0], ()), ((0, (1, 0)), ()),
                        ((4, 1), ((2, 1.0, 1),))):
         with pytest.raises(ValueError, match="^type-list rows must be int tuples "
                            rf"\(codim, r1, d1, \.\.\., rk, dk\), got {re.escape(repr(bad))}$"):
@@ -250,12 +250,12 @@ def test_csv_rendering():
     assert render_csv(doc) == "2,(1;1)(1;0)\n4,(1;2)(1;-1)"
 
 
-def _pieces_text(t):
-    return "".join(f"({r};{d})" for r, d in t.pieces)
+def _pieces_text(pieces):
+    return "".join(f"({r};{d})" for r, d in pieces)
 
 
 def _per_piece_render(rows, fmt, genus, rank, degree):
-    """A type list of (codim, HNType) rows, written one piece at a time.
+    """A type list of (codim, ((r1, d1), ..., (rk, dk))) rows, written one piece at a time.
 
     The renderers as they were before type-list rows became flat: the
     reference that the per-length format strings must match byte for byte.
@@ -272,13 +272,13 @@ def _per_piece_render(rows, fmt, genus, rank, degree):
     obj = {"kind": "type-list", "genus": genus, "rank": rank, "degree": degree,
            "variable": "t", "coefficients": None, "truncation": None, "dimension": None,
            "checks": None, "version": "0.1.0",
-           "types": [{"codim": codim, "pieces": t.pieces} for codim, t in rows]}
+           "types": [{"codim": codim, "pieces": t} for codim, t in rows]}
     return json.dumps(obj)
 
 
 def test_flat_rows_render_as_the_per_piece_renderers_did():
     # One format string per row length writes the same bytes as the renderers
-    # that wrote each piece of an HNType, the empty list (budget 0) included.
+    # that wrote each (rank, degree) pair, the empty list (budget 0) included.
     # Every row of type_rows also passes OutputDocument's row check, which
     # the polygons command does not run on them.
     for genus in (1, 2, 3):
@@ -287,7 +287,7 @@ def test_flat_rows_render_as_the_per_piece_renderers_did():
                 for budget in (0, 5, 40):
                     rows = tuple(type_rows(rank, degree, genus, budget))
                     doc = OutputDocument(rows, genus=genus, rank=rank, degree=degree)
-                    typed = enumerate_types(rank, degree, genus, budget)
+                    typed = [(row[0], tuple(zip(row[1::2], row[2::2]))) for row in rows]
                     for fmt in ("text", "latex", "csv", "json"):
                         assert render(doc, fmt) == _per_piece_render(
                             typed, fmt, genus, rank, degree

@@ -3,12 +3,14 @@
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from hnbetti.strata import HNType, enumerate_types, stratum_codim, type_rows
+from hnbetti.hnrec import stratum_series
+from hnbetti.strata import stratum_codim, type_rows
 
 
 def brute_force_types(rank, degree, genus, max_codim):
@@ -27,7 +29,8 @@ def brute_force_types(rank, degree, genus, max_codim):
     For each sequence of ranks, the degrees are chosen one piece at a time,
     each in ascending order over the box.  Once a piece's slope reaches the
     slope before it, every larger degree does too, and so does every way of
-    going on from there, so that degree loop stops.
+    going on from there, so that degree loop stops.  Each type found is a flat
+    tuple (r1, d1, ..., rk, dk), the tail of a type_rows row.
     """
     bound = max_codim + abs(degree) + rank * rank
 
@@ -50,51 +53,74 @@ def brute_force_types(rank, degree, genus, max_codim):
             if sum(ranks) != rank:
                 continue
             for degs in degrees(ranks, ()):
-                pieces = tuple(zip(ranks, degs))
-                if stratum_codim(HNType(pieces), genus) <= max_codim:
+                pieces = tuple(x for pair in zip(ranks, degs) for x in pair)
+                if stratum_codim(pieces, genus) <= max_codim:
                     found.add(pieces)
     return found
 
 
 def _random_type(rng, max_length=4):
-    # Build a valid type from strictly decreasing random slopes.
+    # Build a valid flat type from strictly decreasing random slopes.
     length = rng.randrange(1, max_length + 1)
     pool = sorted({Fraction(n, d) for n in range(-12, 13) for d in (1, 2, 3)})
     slopes = sorted(rng.sample(pool, length), reverse=True)
-    pieces = []
+    pieces = ()
     for slope in slopes:
         scale = rng.randrange(1, 3)
-        pieces.append((slope.denominator * scale, slope.numerator * scale))
-    return HNType(tuple(pieces))
+        pieces += (slope.denominator * scale, slope.numerator * scale)
+    return pieces
+
+
+def _pairs(pieces):
+    return list(zip(pieces[::2], pieces[1::2]))
 
 
 def test_type_validation():
-    HNType(((1, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        HNType(())
-    with pytest.raises(ValueError):
-        HNType(((0, 1), (1, 0)))
-    with pytest.raises(ValueError, match="piece 1"):
-        HNType(((1, 0), (1, 1)))
-    with pytest.raises(ValueError, match="piece 2"):
-        HNType(((1, 2), (1, 1), (2, 2)))  # equal slopes 1/1 and 2/2
+    # A type is the flat tuple (r1, d1, ..., rk, dk) of a type_rows row's
+    # tail; stratum_codim and stratum_series check it before they use it.
+    assert stratum_codim((1, 1, 1, 0), 2) == 2
+    assert stratum_codim((1, 1), 2) == 0
     # Equal slopes with different ranks are still a violation.
-    with pytest.raises(ValueError):
-        HNType(((2, 2), (1, 1)))
-    # Each piece is a pair of ints, and the error names the piece.
-    for pieces, index in (([1, 2], 0), ([(1, 2, 3), (1, 0)], 0), ([(1, 1), (1,)], 1),
-                          ([(1, 1), (1, 0.0)], 1), ([(2, 1), None], 1)):
-        with pytest.raises(ValueError, match=f"piece {index} must be a"):
-            HNType(pieces)
+    with pytest.raises(ValueError, match="^slopes must strictly decrease: violated at piece 1$"):
+        stratum_codim((2, 2, 1, 1), 2)
+    # A non-int entry names its piece, wherever it sits.
+    for pieces, index in (((1, 1, 1, 0.0), 1), ((2, 1, None, 0), 1), ((3, 2, 1, 0, "1", -2), 2)):
+        with pytest.raises(ValueError, match=f"^piece {index} must be a pair of ints: expected"):
+            stratum_codim(pieces, 2)
+
+
+_NOT_A_TUPLE = "a type is a nonempty tuple (r1, d1, ..., rk, dk), got "
+
+# Each malformed type and the whole message that refuses it.
+MALFORMED = {
+    "float": ((1.9, 2.7, 1, 0),
+              "piece 0 must be a pair of ints: expected an integer, got (1.9, 2.7)"),
+    "bool": ((2, 1, 1, True),
+             "piece 1 must be a pair of ints: expected an integer, got (1, True)"),
+    "list": ([1, 1, 1, 0], _NOT_A_TUPLE + "[1, 1, 1, 0]"),
+    "odd-length": ((1, 1, 1), _NOT_A_TUPLE + "(1, 1, 1)"),
+    "empty": ((), _NOT_A_TUPLE + "()"),
+    "rank-0": ((0, 1, 1, 0), "piece 0 has nonpositive rank 0"),
+    "equal-slopes": ((1, 2, 1, 1, 2, 2), "slopes must strictly decrease: violated at piece 2"),
+    "rising-slopes": ((1, 0, 1, 1), "slopes must strictly decrease: violated at piece 1"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_types_are_refused(name):
+    pieces, message = MALFORMED[name]
+    for call in (lambda: stratum_codim(pieces, 2), lambda: stratum_series(2, pieces, 4)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_codim_examples():
-    assert stratum_codim(HNType(((1, 1), (1, 0))), 2) == 2
-    assert stratum_codim(HNType(((1, 2), (1, -1))), 2) == 4
-    assert stratum_codim(HNType(((2, 3), (1, 0))), 3) == 7
-    assert stratum_codim(HNType(((1, 1),)), 5) == 0
+    assert stratum_codim((1, 1, 1, 0), 2) == 2
+    assert stratum_codim((1, 2, 1, -1), 2) == 4
+    assert stratum_codim((2, 3, 1, 0), 3) == 7
+    assert stratum_codim((1, 1), 5) == 0
     with pytest.raises(ValueError):
-        stratum_codim(HNType(((1, 1), (1, 0))), 0)
+        stratum_codim((1, 1, 1, 0), 0)
 
 
 def test_codim_agrees_with_slope_form():
@@ -105,7 +131,7 @@ def test_codim_agrees_with_slope_form():
         t = _random_type(rng)
         for genus in (1, 2, 3):
             expected = Fraction(0)
-            pieces = t.pieces
+            pieces = _pairs(t)
             for i in range(len(pieces)):
                 for j in range(i):
                     r_i, d_i = pieces[i]
@@ -122,8 +148,9 @@ def test_codim_running_sums_match_the_sum_over_pairs():
     for genus in (1, 2, 3):
         for rank in range(1, 8):
             for degree in range(-rank, rank + 1):
-                for codim, t in enumerate_types(rank, degree, genus, 20):
-                    pieces = t.pieces
+                for row in type_rows(rank, degree, genus, 20):
+                    codim, t = row[0], row[1:]
+                    pieces = _pairs(t)
                     pairwise = sum(
                         pieces[i][0] * pieces[j][1]
                         - pieces[j][0] * pieces[i][1]
@@ -135,11 +162,9 @@ def test_codim_running_sums_match_the_sum_over_pairs():
 
 
 def test_enumerate_examples():
-    assert enumerate_types(1, 5, 2, 40) == []
-    two = enumerate_types(2, 1, 2, 4)
-    assert [t.pieces for _, t in two] == [((1, 1), (1, 0)), ((1, 2), (1, -1))]
-    assert [codim for codim, _ in two] == [2, 4]
-    assert [t.pieces for _, t in enumerate_types(2, 0, 2, 3)] == [((1, 1), (1, -1))]
+    assert type_rows(1, 5, 2, 40) == []
+    assert type_rows(2, 1, 2, 4) == [(2, 1, 1, 1, 0), (4, 1, 2, 1, -1)]
+    assert type_rows(2, 0, 2, 3) == [(3, 1, 1, 1, -1)]
 
 
 def test_enumerate_memory_does_not_grow_with_the_budget():
@@ -147,8 +172,8 @@ def test_enumerate_memory_does_not_grow_with_the_budget():
     # budget: a million-unit budget with nothing to list stays small.
     tracemalloc.start()
     try:
-        assert enumerate_types(1, 5, 2, 10**6) == []
-        assert len(enumerate_types(2, 1, 2, 10**3)) == 500
+        assert type_rows(1, 5, 2, 10**6) == []
+        assert len(type_rows(2, 1, 2, 10**3)) == 500
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -156,12 +181,12 @@ def test_enumerate_memory_does_not_grow_with_the_budget():
 
 
 def test_enumerate_leaves_no_cyclic_garbage():
-    # The recursive walk must not keep its buckets of types alive in a
+    # The recursive walk must not keep its buckets of rows alive in a
     # reference cycle once the list is returned and dropped.
     gc.collect()
     gc.disable()
     try:
-        rows = enumerate_types(4, 1, 2, 12)
+        rows = type_rows(4, 1, 2, 12)
         assert len(rows) == 9
         del rows
         assert gc.collect() == 0
@@ -171,38 +196,39 @@ def test_enumerate_leaves_no_cyclic_garbage():
 
 def test_enumerate_rejects_genus_zero():
     with pytest.raises(ValueError):
-        enumerate_types(2, 1, 0, 5)
+        type_rows(2, 1, 0, 5)
     with pytest.raises(ValueError):
-        enumerate_types(0, 1, 2, 5)
+        type_rows(0, 1, 2, 5)
     with pytest.raises(ValueError):
-        enumerate_types(2, 1, 2, -1)
+        type_rows(2, 1, 2, -1)
     # range() would raise TypeError deep in the walk, and True would pass as 1.
     for args in ((2.0, 1, 2, 5), (2, 1.5, 2, 5), (2, 1, 2, 5.0), (2, True, 2, 5)):
         with pytest.raises(ValueError, match="expected an integer"):
-            enumerate_types(*args)
+            type_rows(*args)
 
 
 def test_enumerate_entries_are_valid():
     for rank, degree in ((2, 1), (3, -2), (4, 3)):
-        for codim, t in enumerate_types(rank, degree, 2, 10):
-            assert sum(r for r, _ in t.pieces) == rank
-            assert sum(d for _, d in t.pieces) == degree
-            assert len(t.pieces) >= 2
+        for row in type_rows(rank, degree, 2, 10):
+            codim, t = row[0], row[1:]
+            assert sum(t[::2]) == rank
+            assert sum(t[1::2]) == degree
+            assert len(t) >= 4  # two pieces or more
             assert stratum_codim(t, 2) == codim <= 10
 
 
 def test_enumerate_is_sorted_and_prefix_monotone():
-    # enumerate_types emits (codim, pieces) order from its walk, sorting no types.
+    # type_rows emits (codim, pieces) order from its walk, sorting no types.
     for genus in (1, 2, 3):
         for rank in range(1, 8):
             for degree in range(-rank, rank + 1):
-                big = enumerate_types(rank, degree, genus, 20)
-                keyed = [(stratum_codim(t, genus), t.pieces) for _, t in big]
-                assert [codim for codim, _ in keyed] == [codim for codim, _ in big]
+                big = type_rows(rank, degree, genus, 20)
+                keyed = [(stratum_codim(row[1:], genus), row[1:]) for row in big]
+                assert [codim for codim, _ in keyed] == [row[0] for row in big]
                 assert keyed == sorted(keyed), (genus, rank, degree)
                 for budget in range(20):
                     within = sum(codim <= budget for codim, _ in keyed)
-                    small = enumerate_types(rank, degree, genus, budget)
+                    small = type_rows(rank, degree, genus, budget)
                     assert small == big[:within], (genus, rank, degree, budget)
 
 
@@ -213,20 +239,21 @@ def test_enumerate_matches_brute_force():
         for rank, budgets in ((2, (0, 4, 9)), (3, (0, 4, 9)), (4, (0, 4, 9, 12))):
             for degree in (-2, 0, 1, 3):
                 scanned = {
-                    pieces: stratum_codim(HNType(pieces), genus)
+                    pieces: stratum_codim(pieces, genus)
                     for pieces in brute_force_types(rank, degree, genus, budgets[-1])
                 }
                 for budget in budgets:
-                    got = {t.pieces for _, t in enumerate_types(rank, degree, genus, budget)}
+                    got = {row[1:] for row in type_rows(rank, degree, genus, budget)}
                     want = {pieces for pieces, c in scanned.items() if c <= budget}
                     assert got == want, (genus, rank, degree, budget)
 
 
 def _one_call_per_node(rank, degree, genus, max_codim):
-    """(codim, pieces) rows from the walk with one call per node, rank-1 rests included.
+    """The rows (codim, r1, d1, ..., rk, dk) from the walk with one call per node.
 
-    The walk as enumerate_types ran it before it emitted the type of a rank-1
-    rest in the parent; kept as the reference for emission order.
+    The walk as type_rows ran it before it emitted the type of a rank-1 rest
+    in the parent, rank-1 rests included; kept as the reference for emission
+    order.
     """
     buckets = {}
 
@@ -236,11 +263,11 @@ def _one_call_per_node(rank, degree, genus, max_codim):
             d_hi = min((budget - base) // R, (cap_d * r1 - 1) // cap_r)
             for d1 in range(r1 * D // R + 1, d_hi + 1):
                 c1 = R * d1 + base
-                walk(R - r1, D - d1, d1, r1, budget - c1, codim + c1, prefix + ((r1, d1),))
-        buckets.setdefault(codim, []).append(prefix + ((R, D),))
+                walk(R - r1, D - d1, d1, r1, budget - c1, codim + c1, prefix + (r1, d1))
+        buckets.setdefault(codim, []).append(prefix + (R, D))
 
     walk(rank, degree, abs(degree) + max_codim + 1, 1, max_codim, 0, ())
-    return [(codim, pieces) for codim in sorted(buckets)[1:] for pieces in buckets[codim]]
+    return [(codim,) + pieces for codim in sorted(buckets)[1:] for pieces in buckets[codim]]
 
 
 def test_enumerate_matches_the_walk_with_one_call_per_node():
@@ -249,45 +276,33 @@ def test_enumerate_matches_the_walk_with_one_call_per_node():
     for genus in (1, 2, 3):
         for rank in range(1, 9):
             for degree in range(-3, 4):
-                got = [(c, t.pieces) for c, t in enumerate_types(rank, degree, genus, 40)]
+                got = type_rows(rank, degree, genus, 40)
                 assert got == _one_call_per_node(rank, degree, genus, 40), (genus, rank, degree)
 
 
-def test_enumerated_types_are_valid_through_the_public_constructor():
-    # enumerate_types skips HNType validation; every type it lists must still
-    # pass it, with int entries.
-    for genus in (1, 2, 3):
-        for rank in range(1, 7):
-            for degree in range(rank):
-                for _, t in enumerate_types(rank, degree, genus, 20):
-                    assert HNType(t.pieces) == t
-                    assert all(type(x) is int for piece in t.pieces for x in piece)
-
-
-def test_enumerate_types_is_the_hntype_view_of_type_rows():
-    # Each flat row (codim, r1, d1, ..., rk, dk) of type_rows is the row
-    # (codim, HNType(((r1, d1), ..., (rk, dk)))) of enumerate_types, in order.
+def test_enumerated_rows_pass_the_type_check():
+    # type_rows builds its rows without the check that stratum_codim and
+    # stratum_series make on a type.  Every row must still be an int tuple of
+    # odd length whose tail passes that check, with the row's codimension.
     for genus in (1, 2, 3):
         for rank in range(1, 8):
-            for degree in range(-3, 4):
-                for budget in (0, 5, 40):
-                    rows = type_rows(rank, degree, genus, budget)
-                    assert all(type(row) is tuple and len(row) % 2 == 1 for row in rows)
-                    assert all(type(x) is int for row in rows for x in row)
-                    view = [(row[0], HNType(tuple(zip(row[1::2], row[2::2])))) for row in rows]
-                    assert enumerate_types(rank, degree, genus, budget) == view, (
-                        genus, rank, degree, budget)
+            for degree in range(-3, 7):
+                for budget in (0, 5, 20, 40):
+                    for row in type_rows(rank, degree, genus, budget):
+                        assert type(row) is tuple and len(row) % 2 == 1
+                        assert all(type(x) is int for x in row)
+                        assert stratum_codim(row[1:], genus) == row[0]
 
 
 def test_enumerate_twist_bijection():
     # Tensoring by a degree-1 line bundle shifts each piece degree by its rank.
     for rank, degree, budget in ((2, 1, 8), (3, 2, 9), (4, -1, 10)):
-        base = enumerate_types(rank, degree, 3, budget)
-        shifted = enumerate_types(rank, degree + rank, 3, budget)
+        base = type_rows(rank, degree, 3, budget)
+        shifted = type_rows(rank, degree + rank, 3, budget)
         mapped = [
-            tuple((r, d + r) for r, d in t.pieces) for _, t in base
+            tuple(x for r, d in _pairs(row[1:]) for x in (r, d + r)) for row in base
         ]
-        assert mapped == [t.pieces for _, t in shifted]
-        assert [stratum_codim(t, 3) for _, t in base] == [
-            stratum_codim(t, 3) for _, t in shifted
-        ] == [codim for codim, _ in base] == [codim for codim, _ in shifted]
+        assert mapped == [row[1:] for row in shifted]
+        assert [stratum_codim(row[1:], 3) for row in base] == [
+            stratum_codim(row[1:], 3) for row in shifted
+        ] == [row[0] for row in base] == [row[0] for row in shifted]
