@@ -280,18 +280,38 @@ def test_enumerate_matches_the_walk_with_one_call_per_node():
                 assert got == _one_call_per_node(rank, degree, genus, 40), (genus, rank, degree)
 
 
-def test_enumerated_rows_pass_the_type_check():
+def test_enumerated_types_are_valid_through_the_public_constructor():
     # type_rows builds its rows without the check that stratum_codim and
-    # stratum_series make on a type.  Every row must still be an int tuple of
-    # odd length whose tail passes that check, with the row's codimension.
+    # stratum_series make on a type.  Every row's tail must still pass that
+    # check, with int entries, and give the row's codimension.
     for genus in (1, 2, 3):
         for rank in range(1, 8):
             for degree in range(-3, 7):
                 for budget in (0, 5, 20, 40):
                     for row in type_rows(rank, degree, genus, budget):
-                        assert type(row) is tuple and len(row) % 2 == 1
                         assert all(type(x) is int for x in row)
                         assert stratum_codim(row[1:], genus) == row[0]
+
+
+def test_enumerate_types_is_the_hntype_view_of_type_rows():
+    # Each flat row (codim, r1, d1, ..., rk, dk) of type_rows is an int tuple
+    # of odd length whose pairs ((r1, d1), ..., (rk, dk)) are a Harder-Narasimhan
+    # type of (rank, degree): two pieces or more, positive ranks, strictly
+    # decreasing slopes, ranks and degrees summing to rank and degree.
+    for genus in (1, 2, 3):
+        for rank in range(1, 8):
+            for degree in range(-3, 4):
+                for budget in (0, 5, 40):
+                    for row in type_rows(rank, degree, genus, budget):
+                        assert type(row) is tuple and len(row) % 2 == 1
+                        assert all(type(x) is int for x in row)
+                        pieces = _pairs(row[1:])
+                        assert len(pieces) >= 2
+                        assert all(r > 0 for r, _ in pieces)
+                        assert all(d0 * r1 > d1 * r0
+                                   for (r0, d0), (r1, d1) in zip(pieces, pieces[1:]))
+                        assert sum(r for r, _ in pieces) == rank
+                        assert sum(d for _, d in pieces) == degree, (genus, rank, degree, budget)
 
 
 def test_enumerate_twist_bijection():
