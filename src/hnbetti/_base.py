@@ -38,8 +38,7 @@ class _Record:
     def _trusted(cls, *values):
         """Build from valid field values, skipping validation."""
         record = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(record, name, value)
+        record._fill(*values)
         return record
 
     def _values(self) -> tuple:

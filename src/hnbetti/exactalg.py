@@ -116,8 +116,8 @@ class ExactPolynomial(_Record):
         return cls((1,))
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "ExactPolynomial":
-        return cls((0,) * _check_int("exponent", exponent, 0) + (coefficient,))
+    def monomial(cls, exponent: int) -> "ExactPolynomial":
+        return cls((0,) * _check_int("exponent", exponent, 0) + (1,))
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, int]) -> "ExactPolynomial":

@@ -23,8 +23,9 @@ Each renderer reads a polynomial, series or Betti-report document through one
 view, its coefficients and its series order or None.  A type list's payload is
 a tuple of flat int rows (codim, r1, d1, ..., rk, dk), as strata.type_rows
 returns them: the renderers write the codimensions they are given and compute
-none.  Each writes a row with one format string for its length, built on
-first use (_RowFormats), so a row costs one C-level format call.
+none.  All four write their rows through one writer, _rows, which builds one
+%-format string per row length in the list; each row then costs one C-level
+% call with the format string for its length.
 """
 
 from __future__ import annotations
@@ -130,21 +131,10 @@ def _expression(doc: OutputDocument, braces: bool) -> str:
     return tail if body == "0" else f"{body} + {tail}"
 
 
-class _RowFormats(dict):
-    """Format strings for type-list rows, by row length, each built on first use.
-
-    formats[len(row)] is build(k) for a row of k pieces, (codim, r1, d1, ...,
-    rk, dk): a renderer fills it with the row's 2k + 1 ints in one call.
-    """
-
-    __slots__ = ("build",)
-
-    def __init__(self, build: Callable[[int], str]) -> None:
-        self.build = build
-
-    def __missing__(self, length: int) -> str:
-        fmt = self[length] = self.build(length // 2)
-        return fmt
+def _rows(rows: Sequence[tuple], build: Callable[[int], str]) -> list[str]:
+    """Each row filled into build(k), the %-format string for a row of k pieces."""
+    formats = {n: build(n // 2) for n in set(map(len, rows))}
+    return [formats[len(row)] % row for row in rows]
 
 
 def render_text(doc: OutputDocument) -> str:
@@ -154,8 +144,7 @@ def render_text(doc: OutputDocument) -> str:
         if value is not None
     )
     if doc.kind == "type-list":
-        formats = _RowFormats(lambda k: "codim %d: " + "(%d;%d)" * k)
-        lines = [formats[len(row)] % row for row in doc.payload]
+        lines = _rows(doc.payload, lambda k: "codim %d: " + "(%d;%d)" * k)
         return "\n".join(lines + [f"({len(doc.payload)} types; {metadata})"])
     body = _expression(doc, braces=False)
     if doc.kind == "betti-report":
@@ -166,20 +155,15 @@ def render_text(doc: OutputDocument) -> str:
 def render_latex(doc: OutputDocument) -> str:
     if doc.kind != "type-list":
         return _expression(doc, braces=True)
-    # The codimension comes last, so the pieces' fields are indexed from 1.
-    formats = _RowFormats(
-        lambda k: "\\left["
-        + "".join(f"({{{i}}};{{{i + 1}}})" for i in range(1, 2 * k, 2))
-        + "\\right]_{{{0}}}"
-    )
-    rows = [formats[len(row)].format(*row) for row in doc.payload]
+    # The codimension is written last, so each row is rotated to end with it.
+    rows = _rows([row[1:] + row[:1] for row in doc.payload],
+                 lambda k: "\\left[" + "(%d;%d)" * k + "\\right]_{%d}")
     return ",\\ ".join(rows) or "\\varnothing"
 
 
 def render_csv(doc: OutputDocument) -> str:
     if doc.kind == "type-list":
-        formats = _RowFormats(lambda k: "%d," + "(%d;%d)" * k)
-        rows = [formats[len(row)] % row for row in doc.payload]
+        rows = _rows(doc.payload, lambda k: "%d," + "(%d;%d)" * k)
     else:
         coeffs, _ = _coefficients_and_order(doc)
         rows = [f"{i},{c}" for i, c in enumerate(coeffs or (0,))]
@@ -205,10 +189,10 @@ def render_json(doc: OutputDocument) -> str:
         # "types" is the last key: each row is written as json.dumps would
         # write {"codim": codim, "pieces": [[r1, d1], ...]}, and the list is
         # spliced in before the closing brace of the other keys.
-        formats = _RowFormats(
-            lambda k: '{"codim": %d, "pieces": [' + ", ".join(["[%d, %d]"] * k) + "]}"
-        )
-        types = ", ".join([formats[len(row)] % row for row in doc.payload])
+        types = ", ".join(_rows(
+            doc.payload,
+            lambda k: '{"codim": %d, "pieces": [' + ", ".join(["[%d, %d]"] * k) + "]}",
+        ))
         return f'{json.dumps(obj)[:-1]}, "types": [{types}]}}'
     coeffs, order = _coefficients_and_order(doc)
     obj["coefficients"] = [str(c) for c in coeffs] or ["0"]

@@ -77,7 +77,8 @@ def test_normalization_and_degree():
 def test_from_terms_and_monomial():
     assert ExactPolynomial.from_terms({0: 1, 2: -1}).coefficients == (1, 0, -1)
     assert ExactPolynomial.from_terms({}).is_zero()
-    assert ExactPolynomial.monomial(3, 5).coefficients == (0, 0, 0, 5)
+    assert ExactPolynomial.from_terms({3: 5}).coefficients == (0, 0, 0, 5)
+    assert ExactPolynomial.monomial(3).coefficients == (0, 0, 0, 1)
     with pytest.raises(ValueError):
         ExactPolynomial.monomial(-1)
 

@@ -27,7 +27,7 @@ def _bivariate_sym_coefficients(genus, max_power):
 
     # (1 + u t)^(2g): u^k carries t-polynomial comb(2g, k) t^k.
     numerator = [
-        ExactPolynomial.monomial(k, comb(2 * genus, k))
+        ExactPolynomial.from_terms({k: comb(2 * genus, k)})
         for k in range(min(2 * genus, max_power) + 1)
     ]
     # 1 / (1 - u): u^a carries 1.  1 / (1 - u t^2): u^b carries t^(2b).

@@ -34,6 +34,9 @@ def _docs():
         OutputDocument((), genus=2, rank=1, degree=0),
         OutputDocument(BETTI_2_2_1, genus=2, rank=2, degree=1),
         OutputDocument(TruncatedSeries((0, 0, 0, 0), 3), genus=1, rank=2),
+        # type_rows(3, 0, 2, 7): rows of two and of three pieces in one list.
+        OutputDocument(((5, 1, 1, 2, -1), (5, 2, 1, 1, -1), (7, 1, 1, 1, 0, 1, -1)),
+                       genus=2, rank=3, degree=0),
     ]
 
 
@@ -48,6 +51,8 @@ PINNED = {
         "1 + 4t + 7t^2 + 12t^3 + 24t^4 + 32t^5 + 24t^6 + 12t^7 + 7t^8 + 4t^9 + t^10"
         "  (dim 5, checks: all pass)",
         "O(t^4)  (genus 1, rank 2)",
+        "codim 5: (1;1)(2;-1)\ncodim 5: (2;1)(1;-1)\ncodim 7: (1;1)(1;0)(1;-1)\n"
+        "(3 types; genus 2, rank 3, deg 0)",
     ],
     "latex": [
         "1 + 4t + t^{2}",
@@ -58,6 +63,8 @@ PINNED = {
         "1 + 4t + 7t^{2} + 12t^{3} + 24t^{4} + 32t^{5} + 24t^{6} + 12t^{7} + 7t^{8}"
         " + 4t^{9} + t^{10}",
         "O(t^{4})",
+        "\\left[(1;1)(2;-1)\\right]_{5},\\ \\left[(2;1)(1;-1)\\right]_{5},\\ "
+        "\\left[(1;1)(1;0)(1;-1)\\right]_{7}",
     ],
     "csv": [
         "0,1\n1,4\n2,1",
@@ -67,6 +74,7 @@ PINNED = {
         "",
         "0,1\n1,4\n2,7\n3,12\n4,24\n5,32\n6,24\n7,12\n8,7\n9,4\n10,1",
         "0,0\n1,0\n2,0\n3,0",
+        "5,(1;1)(2;-1)\n5,(2;1)(1;-1)\n7,(1;1)(1;0)(1;-1)",
     ],
     "json": [
         '{"kind": "polynomial", "genus": 2, "rank": null, "degree": 1, "variable": "t", '
@@ -93,6 +101,11 @@ PINNED = {
         '{"kind": "series", "genus": 1, "rank": 2, "degree": null, "variable": "t", '
         '"coefficients": ["0", "0", "0", "0"], "truncation": 3, "dimension": null, '
         '"checks": null, "version": "0.1.0"}',
+        '{"kind": "type-list", "genus": 2, "rank": 3, "degree": 0, "variable": "t", '
+        '"coefficients": null, "truncation": null, "dimension": null, "checks": null, '
+        '"version": "0.1.0", "types": [{"codim": 5, "pieces": [[1, 1], [2, -1]]}, '
+        '{"codim": 5, "pieces": [[2, 1], [1, -1]]}, '
+        '{"codim": 7, "pieces": [[1, 1], [1, 0], [1, -1]]}]}',
     ],
 }
 
@@ -133,7 +146,7 @@ def test_kind_follows_the_payload():
     # constructor's parameters.
     assert [doc.kind for doc in _docs()] == [
         "polynomial", "polynomial", "series", "type-list", "type-list", "betti-report",
-        "series",
+        "series", "type-list",
     ]
     doc = _docs()[0]
     with pytest.raises(AttributeError):
