@@ -11,6 +11,9 @@ Series are values, compared and hashed like every record.
 ``*`` takes two coefficient vectors (polynomial by polynomial, series by
 polynomial, series by series), and every such product goes through one kernel,
 _convolve.  To scale by an integer c, multiply by ExactPolynomial((c,)).
+Every quotient, inverse_series and divide_exact alike, goes through one
+recurrence, _quotient: the series num / den term by term, each term an exact
+division by den[0].
 
 Both types are _Record subclasses, and every integer argument passes
 _check_int; the two helpers live in _base, which every layer imports.
@@ -94,6 +97,23 @@ def _convolve(a: Sequence[int], b: Sequence[int], order: int) -> tuple[int, ...]
         int.from_bytes(digits[i : i + width], "little") - half for i in range(0, size, width)
     ]
     return tuple(out) + (0,) * (order + 1 - count)
+
+
+def _quotient(num: Sequence[int], den: Sequence[int], count: int) -> list[int]:
+    """Coefficients 0..count-1 of the power series num / den.
+
+    Each is an exact division by den[0]; the first that does not divide raises
+    InexactDivisionError.
+    """
+    out: list[int] = []
+    for n in range(count):
+        acc = num[n] if n < len(num) else 0
+        for k in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[k] * out[n - k]
+        if acc % den[0]:
+            raise InexactDivisionError(f"coefficient {acc} not divisible by {den[0]} at step {n}")
+        out.append(acc // den[0])
+    return out
 
 
 class ExactPolynomial(_Record):
@@ -188,37 +208,27 @@ class ExactPolynomial(_Record):
     def divide_exact(self, divisor: "ExactPolynomial") -> "ExactPolynomial":
         """Exact quotient self / divisor over the integers.
 
-        Raises InexactDivisionError when any long-division step fails to divide
-        or a nonzero remainder is left; such a failure signals an internal
-        inconsistency in callers that expect exactness.
+        _quotient runs on the reversed vectors, so each step divides by the
+        divisor's leading coefficient.  Raises InexactDivisionError when a step
+        fails to divide or a nonzero remainder is left; such a failure signals
+        an internal inconsistency in callers that expect exactness.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return ExactPolynomial.zero()
-        num_deg, den_deg = len(self.coefficients) - 1, len(divisor.coefficients) - 1
-        if num_deg < den_deg:
+        num, den = self.coefficients, divisor.coefficients
+        head = len(num) - len(den) + 1
+        if head < 1:
             raise InexactDivisionError(
-                f"degree {num_deg} numerator is not divisible by degree {den_deg} divisor"
+                f"degree {len(num) - 1} numerator is not divisible by degree {len(den) - 1} divisor"
             )
-        rem = list(self.coefficients)
-        den = divisor.coefficients
-        lead = den[-1]
-        quot = [0] * (num_deg - den_deg + 1)
-        for k in range(num_deg - den_deg, -1, -1):
-            head = rem[k + den_deg]
-            if head % lead != 0:
-                raise InexactDivisionError(
-                    f"leading coefficient {head} not divisible by {lead} at step {k}"
-                )
-            c = head // lead
-            quot[k] = c
-            if c:
-                for j, d in enumerate(den):
-                    rem[k + j] -= c * d
-        if any(rem):
-            raise InexactDivisionError(f"nonzero remainder {_trimmed(rem)}")
-        return ExactPolynomial(tuple(quot))
+        # Reversed, num / den is a power series whose first head terms are the
+        # reversed quotient; the division is exact when the terms after them vanish.
+        series = _quotient(num[::-1], den[::-1], len(num))
+        if any(series[head:]):
+            raise InexactDivisionError(f"nonzero remainder: reversed terms {series[head:]}")
+        return ExactPolynomial(tuple(series[head - 1 :: -1]))
 
     def is_palindromic(self) -> bool:
         """Whether coefficients read the same from both ends (Poincare duality shape)."""
@@ -237,16 +247,7 @@ class ExactPolynomial(_Record):
         unit = self.coefficient(0)
         if unit not in (1, -1):
             raise ValueError(f"constant term {unit} is not invertible over the integers")
-        p = self.coefficients
-        out = [0] * (order + 1)
-        out[0] = unit
-        for n in range(1, order + 1):
-            acc = 0
-            for k in range(1, min(n, len(p) - 1) + 1):
-                if p[k]:
-                    acc += p[k] * out[n - k]
-            out[n] = -unit * acc
-        return TruncatedSeries._trusted(tuple(out), order)
+        return TruncatedSeries._trusted(tuple(_quotient((1,), self.coefficients, order + 1)), order)
 
 
 class TruncatedSeries(_Record):

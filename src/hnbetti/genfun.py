@@ -14,8 +14,10 @@ is the only curve invariant the formulas use, and it is passed as a plain int.
   to m = r*degD - n, giving the Poincare polynomial
       sum over tuples of t^(2 * sum_i (i-1) m_i) * prod_i P(C^(m_i); t),
   which is [u^m] E(t, u) for E(t, u) = prod_{j=0..r-1} M(u t^(2j)), M the
-  Macdonald series above.  div_finite_poly multiplies the r factors, each
-  truncated at u^m, rather than enumerating the tuples.
+  Macdonald series above.  div_finite_poly reads [u^m] off E(t, t^W): with
+  W = 2rm + 1 each [u^k], k <= m, of t-degree at most 2rk < W, fills its own
+  window of W coefficients, so no tuple is enumerated and no polynomial is
+  multiplied.
 
 * The stable (ind-variety) series, independent of n:
       P(Div^(r); t) = prod_{j=1..r} (1 + t^(2j-1))^(2g)
@@ -30,9 +32,12 @@ is the only curve invariant the formulas use, and it is passed as a plain int.
   that factor and sets u = 1 in the rest.  residue_series keeps this factored
   form and never multiplies the closed-form product out.
 
-* div_stable_ranks builds P(Div^(1)), ..., P(Div^(r)) one factor of E(t, 1)
-  at a time, by shifted adds and running sums, where residue_series multiplies
-  and inverts series: two routes to the same numbers that share no arithmetic.
+* _walk evaluates E(t, t^W) one factor at a time, by shifted adds and running
+  sums.  div_finite_poly takes its last state; div_stable_ranks takes every
+  state at W = 0, that is E(t, 1) without its pole, as P(Div^(1)), ...,
+  P(Div^(r)).  residue_series multiplies and inverts series instead: the walk
+  at u = 1 and residue_series are two routes to the same numbers that share no
+  arithmetic.
 
 All of these hold for every genus g >= 0; the Harder-Narasimhan recursion
 built on them needs g >= 1 (see the strata module).
@@ -61,6 +66,27 @@ def sym_product_poly(genus: int, points: int) -> ExactPolynomial:
     return ExactPolynomial(tuple(coeffs))
 
 
+def _walk(genus: int, rank: int, width: int, size: int):
+    """E(t, t^width) to t^(size - 1), one factor j at a time; yields the list after each.
+
+    Factor j is (1 + t^(2j+1+width))^(2g) / ((1 - t^(2j+width)) (1 - t^(2j+2+width))):
+    one shifted add per numerator power, one running sum per denominator.  At
+    width 0 the exponent-0 denominator is the removed pole.  Every yield is
+    the same list, updated in place.
+    """
+    coeffs = [1] + [0] * (size - 1)
+    for j in range(rank):
+        odd = 2 * j + 1 + width
+        for _ in range(2 * genus):
+            coeffs[odd:] = [a + b for a, b in zip(coeffs[odd:], coeffs)]
+        for exp in (2 * j + width, 2 * j + 2 + width):
+            if exp == 0:
+                continue  # the removed pole
+            for i in range(exp, size):
+                coeffs[i] += coeffs[i - exp]
+        yield coeffs
+
+
 def div_finite_poly(
     genus: int, rank: int, degree: int, twist_degree: int
 ) -> ExactPolynomial:
@@ -79,16 +105,11 @@ def div_finite_poly(
         raise ValueError(
             f"empty variety: rank*twist - degree = {total} is negative"
         )
-    # by_sum[k] is [u^k] of the product of the factors M(u t^(2j)) taken so far.
-    sym = [sym_product_poly(genus, k) for k in range(total + 1)]
-    by_sum = sym
-    for i in range(1, rank):
-        shifted = [p * ExactPolynomial.monomial(2 * i * k) for k, p in enumerate(sym)]
-        by_sum = [
-            sum((by_sum[k - j] * shifted[j] for j in range(k + 1)), ExactPolynomial.zero())
-            for k in range(total + 1)
-        ]
-    return by_sum[total]
+    # [u^k] has t-degree at most 2 rank k < width for k <= total, so in
+    # E(t, t^width) it fills window k, t^(k width) .. t^(k width + width - 1).
+    width = 2 * rank * total + 1
+    *_, last = _walk(genus, rank, width, (total + 1) * width)
+    return ExactPolynomial(tuple(last[total * width :]))
 
 
 def div_stable_ranks(genus: int, rank: int, order: int) -> list[TruncatedSeries]:
@@ -97,26 +118,14 @@ def div_stable_ranks(genus: int, rank: int, order: int) -> list[TruncatedSeries]
     The quotient of consecutive closed forms gives
         P(Div^(1)) = (1 + t)^(2g) / (1 - t^2),
         P(Div^(m+1)) = P(Div^(m)) (1 + t^(2m+1))^(2g) / ((1 - t^(2m)) (1 - t^(2m+2))),
-    which is factor j = m of E(t, 1) in the residue form.  Multiplying by
-    (1 + t^a) is one shifted add, dividing by (1 - t^a) one running sum, so no
-    series is multiplied or inverted.
+    which is factor j = m of E(t, 1) in the residue form: the states of _walk
+    at width 0.  Multiplying by (1 + t^a) is one shifted add, dividing by
+    (1 - t^a) one running sum, so no series is multiplied or inverted.
     """
     _check_int("genus", genus, 0)
     _check_int("rank", rank, 1)
     _check_int("truncation order", order, 0)
-    coeffs = [1] + [0] * order
-    out = []
-    for j in range(rank):
-        odd = 2 * j + 1
-        for _ in range(2 * genus):
-            coeffs[odd:] = [a + b for a, b in zip(coeffs[odd:], coeffs)]
-        for exp in (2 * j, 2 * j + 2):
-            if exp == 0:
-                continue  # the removed pole
-            for i in range(exp, order + 1):
-                coeffs[i] += coeffs[i - exp]
-        out.append(TruncatedSeries._trusted(tuple(coeffs), order))
-    return out
+    return [TruncatedSeries._trusted(tuple(c), order) for c in _walk(genus, rank, 0, order + 1)]
 
 
 def div_stable_series(genus: int, rank: int, order: int) -> TruncatedSeries:

@@ -118,8 +118,11 @@ series, so the semistable series has the closed form
 
     P(Div^(2)) - P(Div^(1))^2 * t^(2g) / (1 - t^4),
 
-built here from raw polynomial arithmetic with no stratum enumeration and no
-recursion, which makes it an independent witness for the main path.
+with P(Div^(2)) and P(Div^(1)) taken from genfun.residue_series, the route
+that multiplies and inverts series, and one more inversion, of (1 - t^4).  It
+enumerates no stratum, runs no recursion and shares no code with the DP or
+with div_stable_ranks, which makes it an independent witness for the main
+path.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ from typing import Optional, Union
 
 from ._base import _Record, _check_int
 from .exactalg import ExactPolynomial, TruncatedSeries
-from .genfun import div_stable_ranks
+from .genfun import div_stable_ranks, residue_series
 
 # Every Betti polynomial is computed to order 2*dim + TRUNCATION_SLACK, so
 # tail_vanishes always checks this many coefficients past t^(2*dim).
@@ -426,21 +429,9 @@ def rank2_oracle(genus: int, degree: int, order: int) -> TruncatedSeries:
     if _check_int("degree", degree) % 2 == 0:
         raise ValueError(f"the rank-2 closed form needs odd degree, got {degree}")
     g2 = 2 * genus
-    one_plus_t = ExactPolynomial.from_terms({0: 1, 1: 1})
-    one_plus_t3 = ExactPolynomial.from_terms({0: 1, 3: 1})
-    one_minus_t2 = ExactPolynomial.from_terms({0: 1, 2: -1})
-    one_minus_t4 = ExactPolynomial.from_terms({0: 1, 4: -1})
-
-    inv_t2 = one_minus_t2.inverse_series(order)
-    whole = (
-        one_minus_t4.inverse_series(order)
-        * inv_t2
-        * inv_t2
-        * (one_plus_t ** g2 * one_plus_t3 ** g2)
-    )
+    whole = residue_series(genus, 2, order)
     if order < g2:
         return whole
-    sub_order = order - g2
-    line = one_minus_t2.inverse_series(sub_order) * one_plus_t ** g2
-    strata_sum = line * line * one_minus_t4.inverse_series(sub_order)
+    line = residue_series(genus, 1, order - g2)
+    strata_sum = line * line * ExactPolynomial.from_terms({0: 1, 4: -1}).inverse_series(order - g2)
     return whole - strata_sum.times_t_power(g2)

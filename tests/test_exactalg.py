@@ -145,12 +145,20 @@ def test_divide_exact_rejects_remainder():
 
 def test_divide_exact_random_roundtrip():
     rng = random.Random(4242)
+    rest = random.Random(2424)  # the remainders: the pairs stay those of rng alone
     for _ in range(120):
         a = _random_poly(rng)
         b = _random_poly(rng)
         if b.is_zero():
             continue
         assert (a * b).divide_exact(b) == a
+        if b.degree >= 1:
+            # A nonzero remainder c of degree < deg b makes the division inexact.
+            c = ExactPolynomial.zero()
+            while c.is_zero():
+                c = _random_poly(rest, max_degree=b.degree)  # at most deg b coefficients
+            with pytest.raises(InexactDivisionError):
+                (a * b + c).divide_exact(b)
 
 
 def test_palindromic():

@@ -120,7 +120,7 @@ def test_div_finite_matches_the_sum_over_tuples():
         for twist in range(5)
         if rank * twist - degree >= 0
     ]
-    cases += [(2, 4, 1, 3), (0, 4, -2, 2), (3, 4, 3, 2)]
+    cases += [(2, 4, 1, 3), (0, 4, -2, 2), (3, 4, 3, 2), (2, 5, 1, 2), (1, 6, 0, 1), (0, 5, -3, 1)]
     for case in cases:
         assert div_finite_poly(*case) == _div_finite_by_tuples(*case), case
 
