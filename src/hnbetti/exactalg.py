@@ -8,9 +8,12 @@ zeros included, and represents a power series modulo t^(truncation_order + 1).
 
 Series are values, compared and hashed like every record.
 
-``*`` takes two coefficient vectors (polynomial by polynomial, series by
-polynomial, series by series), and every such product goes through one kernel,
-_convolve.  To scale by an integer c, multiply by ExactPolynomial((c,)).
+The operators are few.  ExactPolynomial has ``*`` by a polynomial and ``**``
+by an int >= 0.  TruncatedSeries has ``*`` by a polynomial or a series, the
+series always on the left, and ``+`` and ``-`` with another series, to the
+lower of the two orders.  Nothing adds, subtracts or negates a polynomial, and
+no operator takes a bare int: to scale by an integer c, multiply by
+ExactPolynomial((c,)).  Every product goes through one kernel, _convolve.
 Every quotient, inverse_series and divide_exact alike, goes through one
 recurrence, _quotient: the series num / den term by term, each term an exact
 division by den[0].
@@ -136,10 +139,6 @@ class ExactPolynomial(_Record):
         return cls((1,))
 
     @classmethod
-    def monomial(cls, exponent: int) -> "ExactPolynomial":
-        return cls((0,) * _check_int("exponent", exponent, 0) + (1,))
-
-    @classmethod
     def from_terms(cls, terms: Mapping[int, int]) -> "ExactPolynomial":
         """Build a polynomial from an {exponent: coefficient} mapping."""
         for exponent in terms:
@@ -163,25 +162,6 @@ class ExactPolynomial(_Record):
         if _check_int("exponent", exponent, 0) >= len(self.coefficients):
             return 0
         return self.coefficients[exponent]
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ExactPolynomial(tuple(out))
-
-    def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "ExactPolynomial"):
         if not isinstance(other, ExactPolynomial):
@@ -331,9 +311,3 @@ class TruncatedSeries(_Record):
         return TruncatedSeries._trusted(
             _convolve(self.coefficients, other.coefficients, order), order
         )
-
-    def __rmul__(self, other: ExactPolynomial):
-        # polynomial * series: ExactPolynomial.__mul__ returns NotImplemented for a series.
-        if isinstance(other, ExactPolynomial):
-            return self * other
-        return NotImplemented

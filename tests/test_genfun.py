@@ -16,6 +16,16 @@ from hnbetti.hnrec import dim_moduli, rank2_oracle, ss_series
 from hnbetti.strata import stratum_codim, type_rows
 
 
+def _sum(polys):
+    """The sum of the polynomials, added coefficient by coefficient."""
+    out = []
+    for poly in polys:
+        out += [0] * (len(poly.coefficients) - len(out))
+        for i, c in enumerate(poly.coefficients):
+            out[i] += c
+    return ExactPolynomial(out)
+
+
 def _bivariate_sym_coefficients(genus, max_power):
     """Expand (1 + u t)^(2g) / ((1 - u)(1 - u t^2)) in u, exactly.
 
@@ -31,14 +41,14 @@ def _bivariate_sym_coefficients(genus, max_power):
         for k in range(min(2 * genus, max_power) + 1)
     ]
     # 1 / (1 - u): u^a carries 1.  1 / (1 - u t^2): u^b carries t^(2b).
-    out = []
-    for m in range(max_power + 1):
-        acc = ExactPolynomial.zero()
-        for k in range(min(len(numerator) - 1, m) + 1):
-            for b in range(m - k + 1):
-                acc = acc + numerator[k] * ExactPolynomial.monomial(2 * b)
-        out.append(acc)
-    return out
+    return [
+        _sum(
+            numerator[k] * ExactPolynomial.from_terms({2 * b: 1})
+            for k in range(min(len(numerator) - 1, m) + 1)
+            for b in range(m - k + 1)
+        )
+        for m in range(max_power + 1)
+    ]
 
 
 def test_sym_product_examples():
@@ -102,13 +112,14 @@ def _div_finite_by_tuples(genus, rank, degree, twist):
     """The finite-level polynomial as the sum over r-tuples, one tuple at a time."""
     total = rank * twist - degree
     sym = [sym_product_poly(genus, m) for m in range(total + 1)]
-    result = ExactPolynomial.zero()
-    for tup in _compositions(total, rank):
-        term = ExactPolynomial.monomial(2 * sum(i * m for i, m in enumerate(tup)))
+
+    def term(tup):
+        product = ExactPolynomial.from_terms({2 * sum(i * m for i, m in enumerate(tup)): 1})
         for m in tup:
-            term = term * sym[m]
-        result = result + term
-    return result
+            product = product * sym[m]
+        return product
+
+    return _sum(term(tup) for tup in _compositions(total, rank))
 
 
 def test_div_finite_matches_the_sum_over_tuples():

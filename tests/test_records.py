@@ -132,7 +132,6 @@ def test_betti_report_fields_must_agree(field, value, match):
         (residue_series, (2, 2, 4.0)),
         (rank2_oracle, (2, 1, 4.0)),
         (div_finite_poly, (2, 2, 1, 1.0)),
-        (ExactPolynomial.monomial, (1.0,)),
         (ExactPolynomial.from_terms, ({1.0: 1},)),
         (pow, (ExactPolynomial((1, 1)), True)),
         (TruncatedSeries((1, 2, 3, 4), 3).truncate, (2.0,)),
@@ -145,7 +144,7 @@ def test_betti_report_fields_must_agree(field, value, match):
          "dim_moduli-rank", "dim_moduli-bool",
          "sym_product_poly-bool", "div_stable_series-bool", "rank2_oracle-degree",
          "div_stable_ranks-order", "residue_series-order", "rank2_oracle-order",
-         "div_finite_poly-twist", "monomial", "from_terms", "pow-bool", "truncate",
+         "div_finite_poly-twist", "from_terms", "pow-bool", "truncate",
          "times_t_power", "coefficient"],
 )
 def test_constructors_reject_non_integers(build, args):

@@ -76,7 +76,8 @@ def _valid():
     }
 
 
-# Requests that exit 2: the package's own errors, then argparse usage errors.
+# Requests that exit 2, the package's own errors and then argparse usage
+# errors; and --version, which exits 0.
 _INVALID = {
     "hnbetti": [[], ["--version"], ["nosuch"], ["--genus", "2"]],
     "sympoly": [
@@ -118,7 +119,8 @@ _INVALID = {
     ],
 }
 
-# Cache passes: (genus, rank, deg) keys, and the requests run on each.
+# The requests of the cache passes, run in this order, cold and then warm: an
+# order below the cached one is served by truncation, one above recomputes.
 _CACHED = {
     "ssseries": [
         _flags("ssseries", genus=g, rank=r, deg=n, truncate=t)
@@ -131,15 +133,15 @@ _CACHED = {
 }
 
 
-def _record(digest, argv, run):
-    """Run argv through cli.run and add what it did to digest."""
+def _record(digest, argv, run, shown=None):
+    """Run argv through cli.run and add what it did to digest, under argv or shown."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     stderr = err.getvalue()
     if stderr.startswith("usage:"):  # argparse: its text varies with the Python release
         stderr = None
-    line = json.dumps([argv, code, out.getvalue(), stderr])
+    line = json.dumps([shown or argv, code, out.getvalue(), stderr])
     digest.update(line.encode() + b"\n")
 
 
@@ -149,16 +151,17 @@ def _cache_pass(command, run):
     requests = _CACHED[command]
     with tempfile.TemporaryDirectory() as cache:
         def cached(argv, *extra):
-            # The temp dir's name is hashed as a fixed token.
-            _record(digest, argv + ["--cache-dir", "<cache>", *extra], lambda a: run(
-                [cache if part == "<cache>" else part for part in a]))
+            # The temp dir's name varies from run to run: it is hashed as "<cache>".
+            _record(digest, argv + ["--cache-dir", cache, *extra], run,
+                    shown=argv + ["--cache-dir", "<cache>", *extra])
 
         for argv in requests + requests:
             cached(argv, "--format", "json")
         files = sorted(Path(cache).iterdir())
         for path in files:
             digest.update(json.dumps([path.name, path.read_text(encoding="utf-8")]).encode())
-        # Another key's document under this key's name: a warning, and exit 4.
+        # The last file, the last request's key, gets another key's document:
+        # a warning, and exit 4 under --strict-cache.
         files[-1].write_bytes(files[0].read_bytes())
         cached(requests[-1], "--strict-cache")
         cached(requests[-1])
