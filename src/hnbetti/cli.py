@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Six subcommands over the library.  build_parser declares each with one call
-of a helper that adds its required integer flags, then adds --format to all
-six, and --cache-dir/--strict-cache to the two that can cache a semistable
-series (_MEMO_COMMANDS: ssseries and betti):
+Six subcommands over the library, each one row of one table, _COMMANDS: its
+help string, the home module and name of its library function, and its
+required integer flags.  build_parser loops over the table: each subcommand
+gets its integer flags, then --format, and the two that can cache a
+semistable series (_MEMO_COMMANDS: ssseries and betti) --cache-dir and
+--strict-cache:
 
 * sympoly    Poincare polynomial of a symmetric product of the curve
 * divpoly    Poincare polynomial of a bounded matrix-divisor variety
@@ -29,9 +31,13 @@ The cache is the --cache-dir directory and nothing else: run builds a
 hnrec.MemoStore only when the flag names one, and with no flag (or an empty
 one) nothing is read or written and --strict-cache has nothing to escalate.
 
-_execute builds one OutputDocument per command, whose kind the payload's
-class fixes; every command but sympoly (genus, points) and divseries (genus,
-rank) carries (genus, rank, deg).  polygons builds its document with
+_execute looks the command's function up on its home module at each call
+(not through the package, whose names bind their first value, so a patch of
+the home module is seen), calls it with the flag values in table order, plus
+memo= for the memo commands, and builds one OutputDocument, whose kind the
+payload's class fixes; every command but sympoly (genus, points) and
+divseries (genus, rank) carries (genus, rank, deg).  polygons makes its own
+call, type_rows(rank, deg, genus, max_codim), and builds its document with
 OutputDocument._trusted(rows, genus, rank, deg, version), which skips the row
 check: the flat rows of strata.type_rows are int tuples by construction.
 Each command imports only the modules it runs, after its arguments parse, so
@@ -62,6 +68,7 @@ import argparse
 import gc
 import os
 import sys
+from importlib import import_module
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._version import __version__
@@ -76,6 +83,25 @@ EXIT_USAGE = 2
 EXIT_CHECK_FAILURE = 3
 EXIT_CACHE = 4
 
+
+# Each subcommand, in --help order: its help string, the home module and name
+# of its library function, and its required integer flags, in the order that
+# function takes them.  polygons alone lists its flags in another order and
+# makes its own call: type_rows takes rank and degree first.
+_COMMANDS = {
+    "sympoly": ("Poincare polynomial of a symmetric product",
+                "genfun", "sym_product_poly", ("genus", "points")),
+    "divpoly": ("Poincare polynomial of a bounded matrix-divisor variety",
+                "genfun", "div_finite_poly", ("genus", "rank", "deg", "twist")),
+    "divseries": ("Poincare series of the matrix-divisor ind-variety",
+                  "genfun", "div_stable_series", ("genus", "rank", "truncate")),
+    "polygons": ("proper Harder-Narasimhan types within a codimension budget",
+                 "strata", "type_rows", ("genus", "rank", "deg", "max-codim")),
+    "ssseries": ("Poincare series of the semistable locus",
+                 "hnrec", "ss_series", ("genus", "rank", "deg", "truncate")),
+    "betti": ("checked Betti polynomial of the stable-bundle moduli space",
+              "hnrec", "betti_poly", ("genus", "rank", "deg")),
+}
 
 # The subcommands that can cache a semistable series, and so take the cache flags.
 _MEMO_COMMANDS = ("ssseries", "betti")
@@ -97,44 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, text: str, *flags: str) -> argparse.ArgumentParser:
-        """A subcommand taking the given integer flags, each required."""
+    for name, (text, _, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag in flags:
             p.add_argument(f"--{flag}", type=int, required=True, help=_INT_HELP.get(flag))
-        return p
-
-    command(
-        "sympoly", "Poincare polynomial of a symmetric product", "genus", "points"
-    )
-    command(
-        "divpoly",
-        "Poincare polynomial of a bounded matrix-divisor variety",
-        "genus", "rank", "deg", "twist",
-    )
-    command(
-        "divseries",
-        "Poincare series of the matrix-divisor ind-variety",
-        "genus", "rank", "truncate",
-    )
-    command(
-        "polygons",
-        "proper Harder-Narasimhan types within a codimension budget",
-        "genus", "rank", "deg", "max-codim",
-    )
-    command(
-        "ssseries",
-        "Poincare series of the semistable locus",
-        "genus", "rank", "deg", "truncate",
-    )
-    command(
-        "betti",
-        "checked Betti polynomial of the stable-bundle moduli space",
-        "genus", "rank", "deg",
-    )
-
-    for name, p in sub.choices.items():
         p.add_argument(
             "--format",
             choices=("text", "json", "latex", "csv"),
@@ -160,36 +152,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _execute(args: argparse.Namespace, memo: Optional[MemoStore]) -> OutputDocument:
     from .render import OutputDocument
 
-    if args.command == "sympoly":
-        from .genfun import sym_product_poly
-
-        poly = sym_product_poly(args.genus, args.points)
-        return OutputDocument(poly, genus=args.genus, degree=args.points)
-    if args.command == "divseries":
-        from .genfun import div_stable_series
-
-        series = div_stable_series(args.genus, args.rank, args.truncate)
-        return OutputDocument(series, genus=args.genus, rank=args.rank)
-    if args.command == "divpoly":
-        from .genfun import div_finite_poly
-
-        payload = div_finite_poly(args.genus, args.rank, args.deg, args.twist)
-    elif args.command == "polygons":
-        from .strata import type_rows
-
+    _, module, name, flags = _COMMANDS[args.command]
+    # Looked up on the home module at each call, so a patch of it is seen.
+    function = getattr(import_module(f"{__package__}.{module}"), name)
+    if args.command == "polygons":
         # Int tuples by construction: _trusted skips the row check, which is
         # for library input.
-        rows = tuple(type_rows(args.rank, args.deg, args.genus, args.max_codim))
+        rows = tuple(function(args.rank, args.deg, args.genus, args.max_codim))
         return OutputDocument._trusted(rows, args.genus, args.rank, args.deg, __version__)
-    elif args.command == "ssseries":
-        from .hnrec import ss_series
-
-        payload = ss_series(args.genus, args.rank, args.deg, args.truncate, memo)
-    else:
-        from .hnrec import betti_poly
-
-        payload = betti_poly(args.genus, args.rank, args.deg, memo=memo)
-    return OutputDocument(payload, genus=args.genus, rank=args.rank, degree=args.deg)
+    values = vars(args)
+    memo_arg = {"memo": memo} if args.command in _MEMO_COMMANDS else {}
+    payload = function(*(values[flag] for flag in flags), **memo_arg)
+    # sympoly's degree is its number of points; divseries has no degree.
+    return OutputDocument(payload, genus=args.genus, rank=values.get("rank"),
+                          degree=values.get("deg", values.get("points")))
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

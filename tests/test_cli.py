@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -502,6 +504,64 @@ def test_subcommand_help_exits_zero(capsys, command):
     assert code == 0
     assert out.startswith(f"usage: hnbetti {command} ")
     assert err == ""
+
+
+# Each subcommand's flags as its usage line lists them, in order.
+FLAGS_IN_ORDER = {
+    "sympoly": ["--genus", "--points", "--format"],
+    "divpoly": ["--genus", "--rank", "--deg", "--twist", "--format"],
+    "divseries": ["--genus", "--rank", "--truncate", "--format"],
+    "polygons": ["--genus", "--rank", "--deg", "--max-codim", "--format"],
+    "ssseries": ["--genus", "--rank", "--deg", "--truncate", "--format", "--cache-dir",
+                 "--strict-cache"],
+    "betti": ["--genus", "--rank", "--deg", "--format", "--cache-dir", "--strict-cache"],
+}
+
+
+def _usage(capsys, monkeypatch, command):
+    """The usage paragraph of a subcommand's --help, on one line."""
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = _run(capsys, command, "--help")
+    assert code == 0
+    return out.split("\n\n")[0]
+
+
+@pytest.mark.parametrize("command", FLAGS_IN_ORDER)
+def test_each_subcommand_takes_its_flags_in_order(capsys, monkeypatch, command):
+    usage = _usage(capsys, monkeypatch, command)
+    assert re.findall(r"--[a-z-]+", usage) == FLAGS_IN_ORDER[command]
+
+
+def test_format_choices_are_the_renderers(capsys, monkeypatch):
+    # cli names the formats itself, so that --version loads no render module.
+    from hnbetti import render
+
+    (choices,) = re.findall(r"--format \{(.*?)\}", _usage(capsys, monkeypatch, "polygons"))
+    assert choices.split(",") == list(render.RENDERERS)
+
+
+def test_cli_calls_what_the_home_module_holds_now(capsys, monkeypatch):
+    # The package binds hnbetti.<name> on first read, so a patch of the home
+    # module after a first run must still reach the CLI.
+    requests = {
+        ("hnrec", "betti_poly"): "betti --genus 2 --rank 2 --deg 1",
+        ("genfun", "div_stable_series"): "divseries --genus 2 --rank 2 --truncate 4",
+        ("strata", "type_rows"): "polygons --genus 2 --rank 2 --deg 1 --max-codim 4",
+    }
+    for command_line in requests.values():
+        assert _run(capsys, *command_line.split())[0] == 0
+    calls = {}
+    for (module_name, name), command_line in requests.items():
+        module = importlib.import_module(f"hnbetti.{module_name}")
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        assert _run(capsys, *command_line.split())[0] == 0
+    assert calls == {"betti_poly": 1, "div_stable_series": 1, "type_rows": 1}
 
 
 @pytest.mark.parametrize(
