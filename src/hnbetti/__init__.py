@@ -12,9 +12,10 @@ Submodules load on first use, so a process loads only the layers it touches;
 
 from importlib import import_module
 
-from ._version import __version__
+__version__ = "0.1.0"
 
-# Each public name, by the submodule that defines it.
+# Each public name, by the submodule that defines it: the one place that says
+# where a name lives.
 _HOMES = {
     "exactalg": ("ExactPolynomial", "InexactDivisionError", "TruncatedSeries"),
     "genfun": (
@@ -56,6 +57,6 @@ def __getattr__(name: str) -> object:
     home = _HOME_OF.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{home}"), name)
-    globals()[name] = value
-    return value
+    # Read from the home module at every access and bound nowhere here, so a
+    # patch of the home module shows through the package name.
+    return getattr(import_module(f"{__name__}.{home}"), name)

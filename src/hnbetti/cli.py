@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Six subcommands over the library, each one row of one table, _COMMANDS: its
-help string, the home module and name of its library function, and its
-required integer flags.  build_parser loops over the table: each subcommand
-gets its integer flags, then --format, and the two that can cache a
-semistable series (_MEMO_COMMANDS: ssseries and betti) --cache-dir and
---strict-cache:
+help string, the package name of its library function, and its required
+integer flags.  A second table, _FLAGS, gives each integer flag the library
+parameter it fills and its help string.  build_parser loops over _COMMANDS:
+each subcommand gets its integer flags, then --format, and the two that can
+cache a semistable series (_MEMO_COMMANDS: ssseries and betti) --cache-dir
+and --strict-cache:
 
 * sympoly    Poincare polynomial of a symmetric product of the curve
 * divpoly    Poincare polynomial of a bounded matrix-divisor variety
@@ -31,15 +32,16 @@ The cache is the --cache-dir directory and nothing else: run builds a
 hnrec.MemoStore only when the flag names one, and with no flag (or an empty
 one) nothing is read or written and --strict-cache has nothing to escalate.
 
-_execute looks the command's function up on its home module at each call
-(not through the package, whose names bind their first value, so a patch of
-the home module is seen), calls it with the flag values in table order, plus
-memo= for the memo commands, and builds one OutputDocument, whose kind the
-payload's class fixes; every command but sympoly (genus, points) and
-divseries (genus, rank) carries (genus, rank, deg).  polygons makes its own
-call, type_rows(rank, deg, genus, max_codim), and builds its document with
-OutputDocument._trusted(rows, genus, rank, deg, version), which skips the row
-check: the flat rows of strata.type_rows are int tuples by construction.
+_execute has one path for every subcommand.  It reads the command's function
+as hnbetti.<name> at each call (hnbetti._HOMES alone says where it lives, and
+the package binds no name, so a patch of the home module is seen), calls it
+by keyword with the flag values, plus memo= for the memo commands, and builds
+one OutputDocument, whose kind the payload's class fixes; a list payload (the
+rows of strata.type_rows) becomes a tuple.  Every command but sympoly (genus,
+points) and divseries (genus, rank) carries (genus, rank, deg).  The document
+is built with OutputDocument._trusted, which skips the checks meant for
+library input: the payload is the library's own return value and the
+metadata are argparse ints.
 Each command imports only the modules it runs, after its arguments parse, so
 --version, --help and a usage error load no layer of the library, and
 polygons loads strata and render but no polynomial arithmetic.
@@ -68,10 +70,9 @@ import argparse
 import gc
 import os
 import sys
-from importlib import import_module
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ._version import __version__
+from . import __version__
 
 if TYPE_CHECKING:
     from .hnrec import MemoStore
@@ -84,34 +85,36 @@ EXIT_CHECK_FAILURE = 3
 EXIT_CACHE = 4
 
 
-# Each subcommand, in --help order: its help string, the home module and name
-# of its library function, and its required integer flags, in the order that
-# function takes them.  polygons alone lists its flags in another order and
-# makes its own call: type_rows takes rank and degree first.
+# Each subcommand, in --help order: its help string, the package name of its
+# library function, and its required integer flags, in --help order.
 _COMMANDS = {
     "sympoly": ("Poincare polynomial of a symmetric product",
-                "genfun", "sym_product_poly", ("genus", "points")),
+                "sym_product_poly", ("genus", "points")),
     "divpoly": ("Poincare polynomial of a bounded matrix-divisor variety",
-                "genfun", "div_finite_poly", ("genus", "rank", "deg", "twist")),
+                "div_finite_poly", ("genus", "rank", "deg", "twist")),
     "divseries": ("Poincare series of the matrix-divisor ind-variety",
-                  "genfun", "div_stable_series", ("genus", "rank", "truncate")),
+                  "div_stable_series", ("genus", "rank", "truncate")),
     "polygons": ("proper Harder-Narasimhan types within a codimension budget",
-                 "strata", "type_rows", ("genus", "rank", "deg", "max-codim")),
+                 "type_rows", ("genus", "rank", "deg", "max-codim")),
     "ssseries": ("Poincare series of the semistable locus",
-                 "hnrec", "ss_series", ("genus", "rank", "deg", "truncate")),
+                 "ss_series", ("genus", "rank", "deg", "truncate")),
     "betti": ("checked Betti polynomial of the stable-bundle moduli space",
-              "hnrec", "betti_poly", ("genus", "rank", "deg")),
+              "betti_poly", ("genus", "rank", "deg")),
+}
+
+# Each integer flag: the library parameter it fills, and its help string.
+_FLAGS = {
+    "genus": ("genus", None),
+    "rank": ("rank", None),
+    "deg": ("degree", None),
+    "points": ("points", "symmetric power m"),
+    "twist": ("twist_degree", "degree of the bounding divisor D"),
+    "truncate": ("order", "truncation order"),
+    "max-codim": ("max_codim", None),
 }
 
 # The subcommands that can cache a semistable series, and so take the cache flags.
 _MEMO_COMMANDS = ("ssseries", "betti")
-
-# Help strings of the integer flags that have one.
-_INT_HELP = {
-    "points": "symmetric power m",
-    "twist": "degree of the bounding divisor D",
-    "truncate": "truncation order",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, _, flags) in _COMMANDS.items():
+    for name, (text, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag in flags:
-            p.add_argument(f"--{flag}", type=int, required=True, help=_INT_HELP.get(flag))
+            p.add_argument(f"--{flag}", type=int, required=True, help=_FLAGS[flag][1])
         p.add_argument(
             "--format",
             choices=("text", "json", "latex", "csv"),
@@ -137,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         p.add_argument(
             "--cache-dir",
-            default=None,
             metavar="DIR",
             help="persistent series cache directory",
         )
@@ -152,20 +154,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _execute(args: argparse.Namespace, memo: Optional[MemoStore]) -> OutputDocument:
     from .render import OutputDocument
 
-    _, module, name, flags = _COMMANDS[args.command]
-    # Looked up on the home module at each call, so a patch of it is seen.
-    function = getattr(import_module(f"{__package__}.{module}"), name)
-    if args.command == "polygons":
-        # Int tuples by construction: _trusted skips the row check, which is
-        # for library input.
-        rows = tuple(function(args.rank, args.deg, args.genus, args.max_codim))
-        return OutputDocument._trusted(rows, args.genus, args.rank, args.deg, __version__)
-    values = vars(args)
-    memo_arg = {"memo": memo} if args.command in _MEMO_COMMANDS else {}
-    payload = function(*(values[flag] for flag in flags), **memo_arg)
+    _, name, flags = _COMMANDS[args.command]
+    kwargs = {_FLAGS[flag][0]: getattr(args, flag.replace("-", "_")) for flag in flags}
+    if args.command in _MEMO_COMMANDS:
+        kwargs["memo"] = memo
+    # Read through the package at each call, so a patch of the home module is seen.
+    payload = getattr(sys.modules[__package__], name)(**kwargs)
+    if type(payload) is list:  # type_rows' rows; a type list's payload is a tuple
+        payload = tuple(payload)
     # sympoly's degree is its number of points; divseries has no degree.
-    return OutputDocument(payload, genus=args.genus, rank=values.get("rank"),
-                          degree=values.get("deg", values.get("points")))
+    return OutputDocument._trusted(payload, args.genus, kwargs.get("rank"),
+                                   kwargs.get("degree", kwargs.get("points")), __version__)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from ._base import _Record, _check_int
-from ._version import __version__
+from . import __version__
 
 # Each kind, by the class name of its payload.  The name, not the class, is
 # looked up, so that a document loads no layer: a type list loads neither

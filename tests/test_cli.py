@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hnbetti
-from hnbetti.cli import run
+from hnbetti.cli import _COMMANDS, _FLAGS, _MEMO_COMMANDS, run
 from hnbetti.render import parse_json
 
 BETTI_G2_R2_N1 = "1 + 4t + 7t^2 + 12t^3 + 24t^4 + 32t^5 + 24t^6 + 12t^7 + 7t^8 + 4t^9 + t^10"
@@ -541,8 +541,8 @@ def test_format_choices_are_the_renderers(capsys, monkeypatch):
 
 
 def test_cli_calls_what_the_home_module_holds_now(capsys, monkeypatch):
-    # The package binds hnbetti.<name> on first read, so a patch of the home
-    # module after a first run must still reach the CLI.
+    # The CLI reads each function as hnbetti.<name> at each call: a patch of
+    # the home module after a first run must still reach it.
     requests = {
         ("hnrec", "betti_poly"): "betti --genus 2 --rank 2 --deg 1",
         ("genfun", "div_stable_series"): "divseries --genus 2 --rank 2 --truncate 4",
@@ -562,6 +562,61 @@ def test_cli_calls_what_the_home_module_holds_now(capsys, monkeypatch):
         monkeypatch.setattr(module, name, counted)
         assert _run(capsys, *command_line.split())[0] == 0
     assert calls == {"betti_poly": 1, "div_stable_series": 1, "type_rows": 1}
+
+
+def test_package_names_are_read_live(monkeypatch):
+    # The package binds no name: hnbetti.<name> is read from its home module
+    # at every access, so a patch of the home module shows through it.
+    original = hnbetti.betti_poly
+    assert original is hnbetti.hnrec.betti_poly
+
+    def patched(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hnbetti.hnrec, "betti_poly", patched)
+    assert hnbetti.betti_poly is patched
+    assert "betti_poly" not in vars(hnbetti)
+    monkeypatch.undo()
+    assert hnbetti.betti_poly is original
+
+
+def test_each_command_function_has_a_home():
+    for command, (_, name, _) in _COMMANDS.items():
+        assert any(name in names for names in hnbetti._HOMES.values()), command
+
+
+@pytest.mark.parametrize("command", FLAGS_IN_ORDER)
+def test_the_flags_fill_the_parameters_of_their_function(command):
+    import inspect  # here only: the package itself must not load it
+
+    _, name, flags = _COMMANDS[command]
+    parameters = inspect.signature(getattr(hnbetti, name)).parameters
+    filled = {_FLAGS[flag][0] for flag in flags}
+    if command in _MEMO_COMMANDS:
+        filled.add("memo")
+    assert filled <= set(parameters)
+    required = {p for p, value in parameters.items() if value.default is value.empty}
+    assert required <= filled
+
+
+# The integer flags that have a help string; the others have none.
+FLAG_HELP = {
+    "--points": "symmetric power m",
+    "--twist": "degree of the bounding divisor D",
+    "--truncate": "truncation order",
+}
+
+
+@pytest.mark.parametrize("command", FLAGS_IN_ORDER)
+def test_integer_flag_help_strings(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    out = _run(capsys, command, "--help")[1]
+    for flag in FLAGS_IN_ORDER[command]:
+        if flag in ("--format", "--cache-dir", "--strict-cache"):
+            continue
+        metavar = flag[2:].upper().replace("-", "_")
+        (line,) = re.findall(rf"^  {flag} {metavar}\b.*$", out, re.M)
+        assert " ".join(line.split()[2:]) == FLAG_HELP.get(flag, ""), line
 
 
 @pytest.mark.parametrize(
@@ -761,7 +816,7 @@ for name in sorted(set(sys.modules) - before):
         print(name)
 """
 
-_START = ["hnbetti", "hnbetti._version", "hnbetti.cli"]
+_START = ["hnbetti", "hnbetti.cli"]
 _TYPES = _START + ["hnbetti._base", "hnbetti.render", "hnbetti.strata"]
 _JSON = ["json", "json.decoder", "json.encoder", "json.scanner"]
 _POLYNOMIALS = _START + ["hnbetti._base", "hnbetti.exactalg", "hnbetti.genfun",
@@ -823,9 +878,8 @@ def test_parse_json_loads_neither_hnrec_nor_strata(capsys):
 
 
 # The home module of each name in hnbetti.__all__ but "render", which is the
-# render module itself.
+# render module itself, and "__version__", which the package itself holds.
 _HOMES = {
-    "__version__": "_version",
     "BettiReport": "hnrec",
     "ExactPolynomial": "exactalg",
     "InexactDivisionError": "exactalg",
@@ -861,7 +915,7 @@ import importlib, json, sys
 importlib.import_module(sys.argv[1])
 import hnbetti
 homes = json.loads(sys.argv[2])
-wrong = sorted(set(hnbetti.__all__) ^ {"render", *homes})
+wrong = sorted(set(hnbetti.__all__) ^ {"render", "__version__", *homes})
 render_first = hnbetti.render
 for name, home in homes.items():
     if getattr(hnbetti, name) is not getattr(importlib.import_module("hnbetti." + home), name):
