@@ -13,7 +13,10 @@ by an int >= 0.  TruncatedSeries has ``*`` by a polynomial or a series, the
 series always on the left, and ``+`` and ``-`` with another series, to the
 lower of the two orders.  Nothing adds, subtracts or negates a polynomial, and
 no operator takes a bare int: to scale by an integer c, multiply by
-ExactPolynomial((c,)).  Every product goes through one kernel, _convolve.
+ExactPolynomial((c,)).  Every product goes through one kernel, _convolve, a
+schoolbook sum.  No long product runs on the CLI path: the composition-sum DP
+multiplies by P(Div^(m)) through the factor steps of genfun._walk, and
+betti_poly's one product is by the three-term 1 - t^2.
 Every quotient, inverse_series and divide_exact alike, goes through one
 recurrence, _quotient: the series num / den term by term, each term an exact
 division by den[0].
@@ -54,52 +57,20 @@ def _trimmed(coefficients: Iterable[int]) -> tuple[int, ...]:
     return coeffs[:end]
 
 
-def _pack(coefficients: Sequence[int], width: int) -> int:
-    """The integer sum of c_i * 256^(width * i): one width-byte slot per coefficient."""
-    if min(coefficients) < 0:
-        return _pack([max(c, 0) for c in coefficients], width) - _pack(
-            [max(-c, 0) for c in coefficients], width
-        )
-    return int.from_bytes(
-        b"".join([c.to_bytes(width, "little") for c in coefficients]), "little"
-    )
-
-
 def _convolve(a: Sequence[int], b: Sequence[int], order: int) -> tuple[int, ...]:
     """Coefficients 0..order of the product of two coefficient vectors.
 
-    Kronecker substitution (D. Harvey, "Faster polynomial multiplication via
-    multipoint Kronecker substitution", JSC 2009): evaluate both operands at
-    t = 2^(8 w) by packing them into one integer each, multiply the two
-    integers once, and read the product's coefficients back from its w-byte
-    slots.  Coefficient k of the product is a sum of at most m = min(len a,
-    len b) terms, each below 2^(bits a + bits b) in size, so it lies strictly
-    inside +-2^(8w - 1) when 8w >= bits a + bits b + bits m + 1.  Adding
-    2^(8w - 1) to every slot then makes each one a digit in [0, 2^(8w)), with
-    no borrow between slots, and the digits of the low order + 1 slots do not
-    depend on anything above them.
+    The schoolbook sum: each nonzero b_i adds b_i times a, shifted by i, in
+    one pass over the coefficients it reaches.  So a short or sparse right
+    operand costs one pass per nonzero term: the collapse by 1 - t^2, and the
+    witness routes' products by (1 + t^a)^(2g) and by 1 / (1 - t^e).
     """
-    a, b = a[: order + 1], b[: order + 1]
-    if not a or not b:
-        return (0,) * (order + 1)
-    bits = (
-        max(max(a), -min(a)).bit_length()
-        + max(max(b), -min(b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    width = (bits + 7) // 8
-    count = min(order + 1, len(a) + len(b) - 1)
-    size = width * count
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    digits = ((_pack(a, width) * _pack(b, width) + bias) & ((1 << 8 * size) - 1)).to_bytes(
-        size, "little"
-    )
-    half = 1 << (8 * width - 1)
-    out = [
-        int.from_bytes(digits[i : i + width], "little") - half for i in range(0, size, width)
-    ]
-    return tuple(out) + (0,) * (order + 1 - count)
+    out = [0] * (order + 1)
+    for i, c in enumerate(b[: order + 1]):
+        if c:
+            row = a[: order + 1 - i]
+            out[i : i + len(row)] = [x + c * y for x, y in zip(out[i:], row)]
+    return tuple(out)
 
 
 def _quotient(num: Sequence[int], den: Sequence[int], count: int) -> list[int]:

@@ -33,11 +33,13 @@ is the only curve invariant the formulas use, and it is passed as a plain int.
   form and never multiplies the closed-form product out.
 
 * _walk evaluates E(t, t^W) one factor at a time, by shifted adds and running
-  sums.  div_finite_poly takes its last state; div_stable_ranks takes every
-  state at W = 0, that is E(t, 1) without its pole, as P(Div^(1)), ...,
-  P(Div^(r)).  residue_series multiplies and inverts series instead: the walk
-  at u = 1 and residue_series are two routes to the same numbers that share no
-  arithmetic.
+  sums, on the list it is given, in place.  div_finite_poly takes its last
+  state from 1; div_stable_ranks takes every state at W = 0 from 1, that is
+  E(t, 1) without its pole, as P(Div^(1)), ..., P(Div^(r)).  Its third caller
+  is the composition-sum DP of hnrec, which walks each of its series through
+  the first m factors at W = 0 to multiply it by P(Div^(m)).  residue_series
+  multiplies and inverts series instead: the walk at u = 1 and residue_series
+  are two routes to the same numbers that share no arithmetic.
 
 All of these hold for every genus g >= 0; the Harder-Narasimhan recursion
 built on them needs g >= 1 (see the strata module).
@@ -66,15 +68,16 @@ def sym_product_poly(genus: int, points: int) -> ExactPolynomial:
     return ExactPolynomial(tuple(coeffs))
 
 
-def _walk(genus: int, rank: int, width: int, size: int):
-    """E(t, t^width) to t^(size - 1), one factor j at a time; yields the list after each.
+def _walk(genus: int, rank: int, width: int, coeffs: list[int]):
+    """coeffs times E(t, t^width), one factor j at a time; yields the list after each.
 
     Factor j is (1 + t^(2j+1+width))^(2g) / ((1 - t^(2j+width)) (1 - t^(2j+2+width))):
-    one shifted add per numerator power, one running sum per denominator.  At
-    width 0 the exponent-0 denominator is the removed pole.  Every yield is
-    the same list, updated in place.
+    one shifted add per numerator power, one running sum per denominator, to
+    the list's length.  At width 0 the exponent-0 denominator is the removed
+    pole, and the first m factors make P(Div^(m)).  Every yield is coeffs
+    itself, updated in place.
     """
-    coeffs = [1] + [0] * (size - 1)
+    size = len(coeffs)
     for j in range(rank):
         odd = 2 * j + 1 + width
         for _ in range(2 * genus):
@@ -108,7 +111,7 @@ def div_finite_poly(
     # [u^k] has t-degree at most 2 rank k < width for k <= total, so in
     # E(t, t^width) it fills window k, t^(k width) .. t^(k width + width - 1).
     width = 2 * rank * total + 1
-    *_, last = _walk(genus, rank, width, (total + 1) * width)
+    *_, last = _walk(genus, rank, width, [1] + [0] * ((total + 1) * width - 1))
     return ExactPolynomial(tuple(last[total * width :]))
 
 
@@ -125,7 +128,8 @@ def div_stable_ranks(genus: int, rank: int, order: int) -> list[TruncatedSeries]
     _check_int("genus", genus, 0)
     _check_int("rank", rank, 1)
     _check_int("truncation order", order, 0)
-    return [TruncatedSeries._trusted(tuple(c), order) for c in _walk(genus, rank, 0, order + 1)]
+    steps = _walk(genus, rank, 0, [1] + [0] * order)
+    return [TruncatedSeries._trusted(tuple(c), order) for c in steps]
 
 
 def div_stable_series(genus: int, rank: int, order: int) -> TruncatedSeries:

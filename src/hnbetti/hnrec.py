@@ -93,14 +93,18 @@ ending in m without that last term, to order L = T + 2 d (r - 1):
 * (m, m) starts as P_Div(m);
 * for N = 1 .. r - 1 and each part m' <= r - N, every state (N, m) is
   shifted and divided by (1 - t^(2 (m + m'))), a running sum in place, the
-  results are added, multiplied once by P_Div(m'), shifted by
-  2 (g - 1) m' N and negated into (N + m', m'), which no other N reaches;
+  results are added, multiplied by P_Div(m') as the first m' factor steps of
+  genfun._walk at width 0, shifted by 2 (g - 1) m' N and negated into
+  (N + m', m'), which no other N reaches; the states (N, m) are then read no
+  more and are dropped;
 * P_ss(r, d) is the sum over m of state (r, m) shifted down by 2 d (r - m).
 
-That is at most r (r - 1) / 2 series products.  Every term of state (r, m)
-with k >= 2 carries t^(e + 2 d (r - m)) with e >= 1, and state (r, r) is
-P_Div(r) with no shift, so the shift down drops only zero coefficients, and
-L - 2 d (r - m) >= T known ones remain.
+That is m' factor steps per DP step, at most (r^3 - r) / 6 in all, each 2g
+shifted adds and at most two running sums, linear in the coefficient size; no
+series is multiplied.  Every term of state (r, m) with k >= 2 carries
+t^(e + 2 d (r - m)) with e >= 1, and state (r, r) is P_Div(r) with no shift,
+so the shift down drops only zero coefficients, and L - 2 d (r - m) >= T known
+ones remain.
 
 When gcd(r, n) = 1 semistable equals stable and the moduli space N(r, n) of
 stable bundles has Poincare polynomial
@@ -135,7 +139,7 @@ from typing import Optional, Union
 
 from ._base import _Record, _check_int
 from .exactalg import ExactPolynomial, TruncatedSeries
-from .genfun import div_stable_ranks, residue_series
+from .genfun import _walk, div_stable_ranks, residue_series
 
 # Every Betti polynomial is computed to order 2*dim + TRUNCATION_SLACK, so
 # tail_vanishes always checks this many coefficients past t^(2*dim).
@@ -316,9 +320,9 @@ def ss_series(
 def _composition_sum(genus: int, rank: int, degree: int, order: int) -> TruncatedSeries:
     """P_ss(rank, degree) for 0 <= degree < rank, by the DP of the module docstring."""
     top = order + 2 * degree * (rank - 1)
-    div = dict(enumerate(div_stable_ranks(genus, rank, top), start=1))
+    seeds = enumerate(div_stable_ranks(genus, rank, top), start=1)
     # states[total, last]: compositions of total ending in last, as in the docstring.
-    states = {(part, part): list(div[part].coefficients) for part in range(1, rank + 1)}
+    states = {(part, part): list(seed.coefficients) for part, seed in seeds}
     for total in range(1, rank):
         level = total * degree // rank + 1
         for part in range(1, rank - total + 1):
@@ -336,8 +340,10 @@ def _composition_sum(genus: int, rank: int, degree: int, order: int) -> Truncate
                 for i in range(lift + step, reach + 1):
                     term[i] += term[i - step]
                 acc = [a + b for a, b in zip(acc, term)]
-            product = TruncatedSeries._trusted(tuple(acc), reach) * div[part]
-            states[total + part, part] = [0] * shift + [-c for c in product.coefficients]
+            *_, product = _walk(genus, part, 0, acc)
+            states[total + part, part] = [0] * shift + [-c for c in product]
+        for last in range(1, total + 1):
+            del states[total, last]
     out = [0] * (order + 1)
     for last in range(1, rank + 1):
         drop = 2 * degree * (rank - last)

@@ -289,7 +289,7 @@ def test_convolve_edge_operands():
         ([0], [0], 0),
         ([3], [-4], 0),
         ([-1], [1, 1, 1, 1], 6),
-        ([top] * 30, [top] * 30, 58),  # every slot at its largest magnitude
+        ([top] * 30, [top] * 30, 58),  # every coefficient at its largest magnitude
         ([top] * 30, [-top] * 30, 58),
         ([-top, top] * 15, [top, -top] * 15, 70),
         ([1] * 20, [1] * 30, 4),  # order shorter than either operand
@@ -302,7 +302,7 @@ def test_convolve_edge_operands():
 
 def test_convolve_largest_coefficients_fill_their_slots():
     # All-maximal operands of one sign make the middle coefficient as large as
-    # the slot-width bound allows; sweeping the widths hits every byte rounding.
+    # the operands' sizes allow, with every term of the sum of one sign.
     for bits_a in range(1, 12):
         for bits_b in range(1, 12):
             for terms in (1, 2, 3, 4, 7, 8, 15, 16, 31):

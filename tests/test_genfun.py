@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from hnbetti.exactalg import ExactPolynomial
+from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
 from hnbetti.genfun import (
+    _walk,
     div_finite_poly,
     div_stable_ranks,
     div_stable_series,
@@ -168,6 +169,22 @@ def test_div_stable_ratio_recurrence_matches_closed_form():
         div_stable_ranks(2, 0, 5)
     with pytest.raises(ValueError):
         div_stable_ranks(2, 2, -1)
+
+
+def test_walk_from_any_series_multiplies_it_by_the_stable_series():
+    # The composition-sum DP's product: m factor steps from a signed series v
+    # leave v * P(Div^(m)) in v's own list.
+    rng = random.Random(36)
+    for genus in range(1, 4):
+        for rank in range(1, 6):
+            for _ in range(5):
+                order = rng.randrange(40)
+                v = [rng.randrange(-(1 << 70), 1 << 70) for _ in range(order + 1)]
+                coeffs = list(v)
+                *_, last = _walk(genus, rank, 0, coeffs)
+                assert last is coeffs
+                want = TruncatedSeries(v, order) * div_stable_series(genus, rank, order)
+                assert tuple(last) == want.coefficients, (genus, rank, v)
 
 
 def test_div_finite_stabilizes_to_stable_series():

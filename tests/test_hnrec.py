@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from hnbetti import hnrec
+from hnbetti import exactalg, hnrec
 from hnbetti.exactalg import ExactPolynomial, TruncatedSeries
 from hnbetti.genfun import div_stable_ranks, div_stable_series
 from hnbetti.hnrec import (
@@ -203,6 +203,27 @@ def test_betti_checks_its_answer_once(monkeypatch):
     assert len(calls) == 1
     assert report == hnrec.BettiReport(report.polynomial, report.moduli_dimension)
     assert len(calls) == 2  # a report built by a caller is still checked
+
+
+def test_only_the_collapse_multiplies_series(monkeypatch):
+    # The DP multiplies by P_Div(part) through genfun._walk's factor steps, so
+    # the one product kernel runs once per betti_poly, in the collapse by 1 - t^2.
+    calls = []
+    convolve = exactalg._convolve
+
+    def counted(a, b, order):
+        calls.append((len(a), tuple(b), order))
+        return convolve(a, b, order)
+
+    monkeypatch.setattr(exactalg, "_convolve", counted)
+    for genus in (1, 2, 3):
+        for rank in range(1, 7):
+            for degree in range(rank // 2 + 1):
+                ss_series(genus, rank, degree, 30)
+    assert calls == []
+    order = 2 * dim_moduli(2, 5) + hnrec.TRUNCATION_SLACK
+    betti_poly(2, 5, 2)
+    assert calls == [(order + 1, (1, 0, -1), order)]
 
 
 def test_betti_rejects_common_factor():
